@@ -236,6 +236,12 @@ class ClusterBroker:
         if self._stop.is_set():
             return
         self._stop.set()
+        # close() alone leaves the accept thread blocked in accept() until
+        # the join below times out; shutdown() wakes it immediately.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

@@ -7,9 +7,27 @@ issues at most one DRAM command, chosen with the following priority order
 1. an overdue periodic refresh that can no longer be postponed,
 2. pending RowHammer-preventive maintenance demanded by the attached
    mitigation mechanism (victim refreshes, RFM windows, row migrations),
-3. a periodic refresh that is pending and whose rank has no ready work,
-4. a command on behalf of a queued read (or write, during write drain),
-   selected by the FR-FCFS+Cap scheduler.
+3. a command on behalf of a queued read (or write, during write drain),
+   selected by the FR-FCFS+Cap scheduler,
+4. a periodic refresh that is pending, when no request command issued.
+
+Requests are scheduled over a per-bank index rather than by re-walking
+the queue.  The request queues keep each bank's requests in arrival order,
+and the scheduler keeps **one decision per bank** (the request to serve
+next and the command it needs: RD/WR, PRE or ACT).  It recomputes a bank's
+decision only when a push, a remove or a command to the bank or its rank
+touched it (a cap counter moves only when a request is served, right after
+its RD/WR); every command goes through
+:meth:`MemoryController._issue`, which reports it to the scheduler.  Each
+cycle the controller tries the decisions in priority order, at most
+``MAX_SCHEDULE_ATTEMPTS`` of them.  An attempt whose command cannot be
+timing-ready fails from floors, without building a command.  The floors
+are the bank's floor combined with its rank's REF block, the data-bus floor
+shared by every RD/WR, and the rank's ACT spacing, all taken from
+:class:`~repro.dram.device.Rank` and :class:`~repro.dram.device.Channel`,
+which stay the single source of the timing rules.  An ACT passes the
+refresh-urgency gate and then the mitigation's activation gate before its
+timing is checked.
 
 Every issued ACT and every completed preventive action is reported to the
 registered observers; BreakHammer registers itself as such an observer.
@@ -115,6 +133,8 @@ class MemoryController:
         self._pending_actions: List[PreventiveAction] = []
         # Requests whose column command has issued; completed when due.
         self._in_flight: List[Tuple[int, MemoryRequest]] = []
+        # Earliest completion cycle in _in_flight (sentinel when empty).
+        self._next_done = self._NO_TIMING_BOUND
 
         self.observers: List[ActionObserver] = []
         self.stats = ControllerStats()
@@ -128,6 +148,9 @@ class MemoryController:
         # busy ticks pay nothing for the bookkeeping.
         self._progress = True
         self._stalled_commands: List[Tuple] = []
+        # Ranks whose refresh is urgent this tick (set by
+        # _issue_urgent_refresh before the request scan reads it).
+        self._urgent_ranks: Tuple[int, ...] = ()
 
         # Whether the mitigation can veto activations (BlockHammer-style).
         # A gating mechanism makes the request-scan outcome depend on time
@@ -137,7 +160,7 @@ class MemoryController:
             is not MitigationMechanism.allow_activation
         )
         # Failed-scan memo: after a request scan in which every tried
-        # decision failed, the candidate sequence and its failure are fully
+        # decision failed, the decision sequence and its failure are fully
         # determined by (channel issue serial, queue versions) until the
         # earliest timing bound of the stalled commands.  Until either
         # changes, the scan can be replayed without walking the queue.
@@ -148,7 +171,7 @@ class MemoryController:
         # write_version, winner_request_or_None, is_row_hit,
         # stalled_tuples)``.  Consumed (and validated) by
         # _issue_request_command; a stale or wrong prediction falls back to
-        # the ordinary scheduler walk, so predictions can never change
+        # the ordinary request scan, so predictions can never change
         # behaviour — only skip provably-identical work.
         self._scan_prediction: Optional[Tuple] = None
         self.scan_predictions_used = 0
@@ -230,10 +253,8 @@ class MemoryController:
                 return cycle + 1
             if bound < earliest:
                 earliest = bound
-        if self._in_flight:
-            done_event = min(done for done, _ in self._in_flight)
-            if done_event < earliest:
-                earliest = done_event
+        if self._next_done < earliest:
+            earliest = self._next_done
         urgent_delay = int(self.REFRESH_PRIORITY_URGENCY * self.timing.trefi)
         for state in self.refresh_manager.states:
             if state.pending:
@@ -269,10 +290,11 @@ class MemoryController:
             self._progress = True
 
     def _drain_completed(self, cycle: int) -> List[MemoryRequest]:
-        if not self._in_flight:
+        if cycle < self._next_done:
             return []
         done: List[MemoryRequest] = []
         remaining: List[Tuple[int, MemoryRequest]] = []
+        next_done = self._NO_TIMING_BOUND
         for done_cycle, request in self._in_flight:
             if done_cycle <= cycle:
                 request.complete(cycle)
@@ -287,7 +309,10 @@ class MemoryController:
                         )
             else:
                 remaining.append((done_cycle, request))
+                if done_cycle < next_done:
+                    next_done = done_cycle
         self._in_flight = remaining
+        self._next_done = next_done
         return done
 
     def _update_write_drain(self) -> None:
@@ -319,12 +344,22 @@ class MemoryController:
     REFRESH_PRIORITY_URGENCY = 0.5
 
     def _issue_urgent_refresh(self, cycle: int) -> bool:
+        """Issue an overdue REF (or the PRE it waits on), if any.
+
+        Also records the ranks whose refresh is urgent this cycle: new
+        activations to them are held back by the request scan, which runs
+        later in the same tick when nothing issued here.
+        """
+
+        urgent = ()
         for state in self.refresh_manager.states:
             urgency = self.refresh_manager.urgency(state.rank, cycle)
             if urgency < self.REFRESH_PRIORITY_URGENCY:
                 continue
             if self._try_refresh_rank(state.rank, cycle):
                 return True
+            urgent += (state.rank,)
+        self._urgent_ranks = urgent
         return False
 
     def _issue_opportunistic_refresh(self, cycle: int) -> bool:
@@ -336,8 +371,7 @@ class MemoryController:
     def _try_refresh_rank(self, rank: int, cycle: int) -> bool:
         ref = Command(CommandType.REF, channel=self.channel_index, rank=rank)
         if self.channel.ready(ref, cycle):
-            self.channel.issue(ref, cycle)
-            self.energy.record(CommandType.REF)
+            self._issue(ref, cycle)
             self.refresh_manager.refresh_issued(rank, cycle)
             self.stats.refreshes += 1
             self._progress = True
@@ -356,8 +390,7 @@ class MemoryController:
                         bank_group=bank.bank_group,
                         bank=bank.bank,
                     )
-                    self.channel.issue(pre, cycle)
-                    self.energy.record(CommandType.PRE)
+                    self._issue(pre, cycle)
                     self.stats.precharges += 1
                     self._progress = True
                     return True
@@ -378,8 +411,7 @@ class MemoryController:
             return False
         command = action.commands[0]
         if self.channel.ready(command, cycle):
-            self.channel.issue(command, cycle)
-            self.energy.record(command.kind)
+            self._issue(command, cycle)
             self.stats.preventive_commands += 1
             self._progress = True
             action.commands.pop(0)
@@ -398,8 +430,7 @@ class MemoryController:
                 bank=command.bank,
             )
             if self.channel.ready(pre, cycle):
-                self.channel.issue(pre, cycle)
-                self.energy.record(CommandType.PRE)
+                self._issue(pre, cycle)
                 self.stats.precharges += 1
                 self._progress = True
                 return True
@@ -422,16 +453,18 @@ class MemoryController:
             observer.on_preventive_action(action, cycle)
 
     # -- regular requests ------------------------------------------------ #
-    def _candidate_requests(self) -> List[MemoryRequest]:
-        queue = self.write_queue if self._write_drain else self.read_queue
-        candidates = list(queue)
-        if not candidates and not self._write_drain and self.write_queue:
-            candidates = list(self.write_queue)
-        return candidates
+    def _active_queue(self) -> RequestQueue:
+        """The queue the request scan serves this cycle."""
 
-    #: Number of top-priority candidates the controller will try per cycle
-    #: before giving up; bounds the per-cycle scheduling work while still
-    #: preserving bank-level parallelism.
+        if self._write_drain:
+            return self.write_queue
+        if not self.read_queue and self.write_queue:
+            return self.write_queue
+        return self.read_queue
+
+    #: Number of top-priority per-bank decisions the controller will try
+    #: per cycle before giving up; bounds the per-cycle scheduling work
+    #: while still preserving bank-level parallelism.
     MAX_SCHEDULE_ATTEMPTS = 16
 
     #: Sentinel bound for a failed scan that only queue or channel
@@ -441,13 +474,13 @@ class MemoryController:
     def _scan_key(self) -> Tuple[int, int, int]:
         """Versions that pin the request scan's inputs.
 
-        The candidate sequence and every per-decision outcome apart from
+        The decision sequence and every per-decision outcome apart from
         pure timing readiness are functions of the queues' contents, the
         channel state (open rows, timing floors, refresh/cap state — all
         mutated only by command issues), and the write-drain flag (itself
         determined by the queue occupancies).  So (issue serial, read
-        version, write version) unchanged ⟹ same candidates, same
-        priority sequence, same non-timing gates.
+        version, write version) unchanged ⟹ same decisions, same order,
+        same non-timing gates.
         """
 
         return (self.channel.issue_serial, self.read_queue.version,
@@ -464,8 +497,8 @@ class MemoryController:
                 request = prediction[4]
                 if request is None:
                     # Predicted full failure: replay the stalled commands
-                    # the walk would have recorded (they feed
-                    # next_event_cycle's timing bounds) and skip the walk.
+                    # the scan would have recorded (they feed
+                    # next_event_cycle's timing bounds) and skip the scan.
                     if prediction[6]:
                         self._stalled_commands.extend(prediction[6])
                     self.scan_predictions_used += 1
@@ -480,7 +513,7 @@ class MemoryController:
                     return True
                 # Wrong prediction: the failed attempt only appended a
                 # stalled-command bound (idempotent for next_event_cycle),
-                # so falling through to the full walk stays exact.
+                # so falling through to the full scan stays exact.
                 self.scan_mispredictions += 1
 
         memo = self._scan_memo
@@ -488,7 +521,7 @@ class MemoryController:
             if memo[0] == self._scan_key():
                 if cycle < memo[2]:
                     # Nothing the scan depends on changed and no tried
-                    # command can have become timing-ready: the walk would
+                    # command can have become timing-ready: the scan would
                     # fail exactly as before.
                     self._stalled_commands.extend(memo[1])
                     self.scan_memo_hits += 1
@@ -496,80 +529,125 @@ class MemoryController:
             else:
                 self._scan_memo = None
 
-        candidates = self._candidate_requests()
-        if not candidates:
+        decisions = self.scheduler.decisions(self._active_queue(),
+                                             self.channel)
+        if not decisions:
             self._scan_memo = (self._scan_key(), (), self._NO_TIMING_BOUND)
             return False
-        ordered = self.scheduler.iter_prioritized(candidates, self.channel,
-                                                  cycle, dedup_banks=True)
-        attempts = 0
-        stall_start = len(self._stalled_commands)
-        # A bank that could not accept one candidate's command this cycle
-        # will not accept another candidate's either, so each bank is tried
-        # at most once per cycle.
-        failed_banks = set()
-        for decision in ordered:
-            coord = decision.request.coordinate
-            if coord is not None and coord.bank_key in failed_banks:
+        # Each decision is tried in priority order against its command's
+        # timing floor: the rank's floor for the bank, plus the data-bus
+        # floor every RD/WR shares and the rank's ACT spacing.  A
+        # command whose floor lies in the future fails without building a
+        # Command; the first one that is ready issues.
+        ranks = self.channel.ranks
+        bus_floor = self.channel.data_bus_free_at
+        urgent_ranks = self._urgent_ranks
+        gating = self._gating_mitigation
+        stalled = self._stalled_commands
+        stall_start = len(stalled)
+        bound = self._NO_TIMING_BOUND
+        budget = self.MAX_SCHEDULE_ATTEMPTS
+        if len(decisions) > budget:
+            decisions = decisions[:budget]
+        act = CommandType.ACT
+        for decision in decisions:
+            target = decision.target
+            kind = target[0]
+            floor = ranks[target[1]].floor(kind, target[2], target[3])
+            if kind is act:
+                # Gate order: refresh urgency (no stall bound), the
+                # mitigation's veto (which has side effects), then timing.
+                if urgent_ranks and target[1] in urgent_ranks:
+                    continue
+                if gating and not self._allow_activation(
+                        decision.request.coordinate, cycle):
+                    continue
+                spacing = ranks[target[1]].act_floor(target[2])
+                if spacing > floor:
+                    floor = spacing
+            elif kind.is_column_command and bus_floor > floor:
+                floor = bus_floor
+            if floor > cycle:
+                stalled.append(target)
+                if floor < bound:
+                    bound = floor
                 continue
-            if self._try_serve(decision, cycle):
-                return True
-            if coord is not None:
-                failed_banks.add(coord.bank_key)
-            attempts += 1
-            if attempts >= self.MAX_SCHEDULE_ATTEMPTS:
-                break
-        if attempts < self.MAX_SCHEDULE_ATTEMPTS \
-                and not self._gating_mitigation:
-            self._memoize_failed_scan(cycle, stall_start)
+            self._serve(decision, kind, cycle)
+            return True
+        if len(decisions) < budget and not gating:
+            # Every decision was tried and failed, each stalled one on a
+            # floor in the future (``bound`` is the earliest): until that
+            # cycle or a change to the scan key, the scan fails the same
+            # way.  Decisions that failed the refresh-urgency gate left no
+            # stalled command; they stay blocked until a REF issues, which
+            # bumps the channel serial.  A gating mitigation makes the
+            # outcome time-dependent, so its scans are never memoised.
+            self._scan_memo = (self._scan_key(), tuple(stalled[stall_start:]),
+                               bound)
         return False
 
-    def _memoize_failed_scan(self, cycle: int, stall_start: int) -> None:
-        """Record a fully-failed scan so identical ticks can skip it.
+    def _try_serve(self, decision, cycle: int) -> bool:
+        """One fully-checked attempt at ``decision`` (batch predictions).
 
-        Only called when every yielded decision was tried (the attempt
-        budget did not truncate the walk) and the mitigation cannot gate
-        activations.  Decisions that failed the refresh-urgency gate left
-        no stalled command; they stay blocked until a REF issues, which
-        bumps the channel serial and invalidates the memo.
+        Derives the command from the bank's live state and re-checks every
+        gate through Channel.kind_ready before :meth:`_serve` issues it.
         """
 
-        stalled = tuple(self._stalled_commands[stall_start:])
-        bound = self._NO_TIMING_BOUND
-        for kind, rank, bank_group, bank in stalled:
-            ready = self.channel.kind_earliest_ready_cycle(
-                kind, rank, bank_group, bank, cycle
-            )
-            if ready <= cycle:
-                # Non-timing failure of a nominally-ready command; the
-                # engine steps per-cycle here (see next_event_cycle), so
-                # do not memoize.
-                return
-            if ready < bound:
-                bound = ready
-        self._scan_memo = (self._scan_key(), stalled, bound)
-
-    def _try_serve(self, decision, cycle: int) -> bool:
         request = decision.request
         coord = request.coordinate
         assert coord is not None
-        channel = self.channel
-        bank = channel.ranks[coord.rank].banks[coord.bank_group][coord.bank]
-        bank_open = bank.is_open()
-        # Readiness is probed through Channel.kind_ready (the single source
-        # of the timing rules, shared with next_event_cycle's bound
-        # estimates) before any Command object is built: most attempts on a
-        # saturated channel fail.
-
-        if bank_open and bank.open_row == coord.row:
-            kind = CommandType.WR if request.is_write else CommandType.RD
-            if not channel.kind_ready(kind, coord.rank, coord.bank_group,
-                                      coord.bank, cycle):
-                self._stalled_commands.append(
-                    (kind, coord.rank, coord.bank_group, coord.bank)
-                )
+        bank = self.channel.ranks[coord.rank].banks[coord.bank_group][
+            coord.bank]
+        if bank.is_open():
+            if bank.open_row == coord.row:
+                kind = CommandType.WR if request.is_write else CommandType.RD
+            else:
+                kind = CommandType.PRE
+        else:
+            kind = CommandType.ACT
+            if self.refresh_manager.urgency(coord.rank, cycle) >= \
+                    self.REFRESH_PRIORITY_URGENCY:
                 return False
-            command = Command(
+            if not self._allow_activation(coord, cycle):
+                return False
+        if not self.channel.kind_ready(kind, coord.rank, coord.bank_group,
+                                       coord.bank, cycle):
+            self._stalled_commands.append(
+                (kind, coord.rank, coord.bank_group, coord.bank)
+            )
+            return False
+        self._serve(decision, kind, cycle)
+        return True
+
+    def _allow_activation(self, coord: DramAddress, cycle: int) -> bool:
+        """The mitigation's activation gate (BlockHammer-style delays).
+
+        Not a timing condition, so a veto records no idle bound: the
+        mitigation's deadline is tracked as an event of its own.
+        """
+
+        if self.mitigation.allow_activation(coord, cycle):
+            return True
+        # Counted per attempted cycle, so the fast engine must keep
+        # stepping cycle by cycle while an activation is being delayed.
+        self.stats.blocked_activations += 1
+        self._progress = True
+        return False
+
+    def _serve(self, decision, kind: CommandType, cycle: int) -> None:
+        """Issue ``kind`` for ``decision``'s request; every gate has passed.
+
+        A closed bank is activated subject to the refresh-urgency and
+        mitigation gates, which the caller checks first (new activations
+        would starve an overdue REF).  Channel.issue re-checks the timing
+        rules and raises on a violation.
+        """
+
+        request = decision.request
+        coord = request.coordinate
+        self._progress = True
+        if kind is CommandType.RD or kind is CommandType.WR:
+            done = self._issue(Command(
                 kind,
                 channel=self.channel_index,
                 rank=coord.rank,
@@ -578,80 +656,58 @@ class MemoryController:
                 row=coord.row,
                 column=coord.column,
                 source_thread=request.thread_id,
-            )
-            done = self.channel.issue(command, cycle)
-            self.energy.record(kind)
+            ), cycle)
             self.stats.row_hits += 1
-            self._progress = True
             if request.first_command_cycle is None:
                 request.first_command_cycle = cycle
             self._remove_from_queue(request)
             self._in_flight.append((done, request))
+            if done < self._next_done:
+                self._next_done = done
             self.scheduler.notify_served(decision)
-            return True
-
-        if bank_open:
+        elif kind is CommandType.PRE:
             # Row conflict: close the open row first.
-            if not channel.kind_ready(CommandType.PRE, coord.rank,
-                                      coord.bank_group, coord.bank, cycle):
-                self._stalled_commands.append(
-                    (CommandType.PRE, coord.rank, coord.bank_group, coord.bank)
-                )
-                return False
-            pre = Command(
+            self._issue(Command(
                 CommandType.PRE,
                 channel=self.channel_index,
                 rank=coord.rank,
                 bank_group=coord.bank_group,
                 bank=coord.bank,
-            )
-            self.channel.issue(pre, cycle)
-            self.energy.record(CommandType.PRE)
+            ), cycle)
             self.stats.precharges += 1
             self.stats.row_conflicts += 1
-            self._progress = True
-            bank.record_conflict()
-            return True
+            self.channel.ranks[coord.rank].banks[coord.bank_group][
+                coord.bank].record_conflict()
+        else:
+            self._issue(Command(
+                CommandType.ACT,
+                channel=self.channel_index,
+                rank=coord.rank,
+                bank_group=coord.bank_group,
+                bank=coord.bank,
+                row=coord.row,
+                source_thread=request.thread_id,
+            ), cycle)
+            # Every ACT implies a later PRE pair.
+            self.energy.record(CommandType.PRE)
+            self.stats.record_activation(request.thread_id)
+            self.stats.row_misses += 1
+            if request.first_command_cycle is None:
+                request.first_command_cycle = cycle
+            self._notify_activation(coord, request.thread_id, cycle)
 
-        # Bank closed: activate the row (subject to the mitigation's gate and
-        # to refresh priority — new activations would starve an overdue REF).
-        # These two gates are not timing conditions, so no idle bound is
-        # recorded for them: the refresh itself and the mitigation deadline
-        # are tracked as events of their own.
-        if self.refresh_manager.urgency(coord.rank, cycle) >= \
-                self.REFRESH_PRIORITY_URGENCY:
-            return False
-        if not self.mitigation.allow_activation(coord, cycle):
-            # Counted per attempted cycle, so the fast engine must keep
-            # stepping cycle by cycle while an activation is being delayed.
-            self.stats.blocked_activations += 1
-            self._progress = True
-            return False
-        if not channel.kind_ready(CommandType.ACT, coord.rank,
-                                  coord.bank_group, coord.bank, cycle):
-            self._stalled_commands.append(
-                (CommandType.ACT, coord.rank, coord.bank_group, coord.bank)
-            )
-            return False
-        act = Command(
-            CommandType.ACT,
-            channel=self.channel_index,
-            rank=coord.rank,
-            bank_group=coord.bank_group,
-            bank=coord.bank,
-            row=coord.row,
-            source_thread=request.thread_id,
-        )
-        self.channel.issue(act, cycle)
-        self.energy.record(CommandType.ACT)
-        self.energy.record(CommandType.PRE)  # every ACT implies a later PRE pair
-        self.stats.record_activation(request.thread_id)
-        self.stats.row_misses += 1
-        self._progress = True
-        if request.first_command_cycle is None:
-            request.first_command_cycle = cycle
-        self._notify_activation(coord, request.thread_id, cycle)
-        return True
+    def _issue(self, command: Command, cycle: int) -> int:
+        """Issue ``command``: the controller's only path to the channel.
+
+        Records the command's energy and reports it to the scheduler, whose
+        cached per-bank decisions it may invalidate.
+        """
+
+        done = self.channel.issue(command, cycle)
+        self.energy.record(command.kind)
+        self.scheduler.note_command(command.kind, command.rank,
+                                    command.bank_group, command.bank)
+        return done
 
     def _remove_from_queue(self, request: MemoryRequest) -> None:
         queue = self.write_queue if request.is_write else self.read_queue

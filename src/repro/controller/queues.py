@@ -2,14 +2,18 @@
 
 The paper's configuration (Table 1) uses 64-entry read and write request
 queues.  :class:`RequestQueue` is a small bounded container that preserves
-arrival order (needed for the "first-come" part of FR-FCFS) and offers the
-queries the scheduler needs: oldest entry, entries targeting an open row,
-per-bank views.
+arrival order (needed for the "first-come" part of FR-FCFS) and keeps the
+per-bank organisation the scheduler works on: on every push and remove it
+updates each bank's arrival-ordered request list (:attr:`RequestQueue.
+by_bank`), stamps pushed requests with a push sequence number
+(``MemoryRequest.queue_seq``), and records the touched bank in
+:attr:`RequestQueue.changed_banks` so the scheduler recomputes only that
+bank's decision.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.controller.request import MemoryRequest
 
@@ -23,6 +27,15 @@ class RequestQueue:
         self.capacity = capacity
         self.name = name
         self._entries: List[MemoryRequest] = []
+        # Per-bank index: bank key -> that bank's requests in push order.
+        # Requests without a decoded coordinate are not indexed (the
+        # controller decodes every request before pushing it).
+        self.by_bank: Dict[tuple, List[MemoryRequest]] = {}
+        # Bank keys whose request lists changed since the scheduler last
+        # synced; the scheduler also adds the banks issued commands
+        # touched, and drains the set.
+        self.changed_banks: Set[tuple] = set()
+        self._push_seq = 0
         self.enqueued_total = 0
         self.rejected_total = 0
         self.peak_occupancy = 0
@@ -62,6 +75,17 @@ class RequestQueue:
             self.rejected_total += 1
             return False
         self._entries.append(request)
+        self._push_seq += 1
+        request.queue_seq = self._push_seq
+        coord = request.coordinate
+        if coord is not None:
+            key = coord.bank_key
+            bucket = self.by_bank.get(key)
+            if bucket is None:
+                self.by_bank[key] = [request]
+            else:
+                bucket.append(request)
+            self.changed_banks.add(key)
         self.enqueued_total += 1
         self.version += 1
         if self.journal is not None:
@@ -73,6 +97,14 @@ class RequestQueue:
         """Remove a specific request (after it has been scheduled)."""
 
         self._entries.remove(request)
+        coord = request.coordinate
+        if coord is not None:
+            key = coord.bank_key
+            bucket = self.by_bank[key]
+            bucket.remove(request)
+            if not bucket:
+                del self.by_bank[key]
+            self.changed_banks.add(key)
         self.version += 1
         if self.journal is not None:
             self.journal.append((False, request))
@@ -99,9 +131,7 @@ class RequestQueue:
     def for_bank(self, bank_key: tuple) -> List[MemoryRequest]:
         """All requests whose decoded coordinate targets ``bank_key``."""
 
-        return self.matching(
-            lambda r: r.coordinate is not None and r.coordinate.bank_key == bank_key
-        )
+        return list(self.by_bank.get(bank_key, ()))
 
     def threads_present(self) -> Iterable[int]:
         """Distinct thread ids currently waiting in the queue."""

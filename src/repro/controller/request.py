@@ -58,6 +58,10 @@ class MemoryRequest:
     on_complete:
         Optional callback invoked when the request completes; the cache
         hierarchy uses it to release MSHRs and wake up cores.
+    queue_seq:
+        Push sequence number within its controller queue (set by
+        :meth:`repro.controller.queues.RequestQueue.push`); orders the
+        FR-FCFS+Cap decisions of different banks.
     """
 
     address: int
@@ -70,6 +74,7 @@ class MemoryRequest:
     on_complete: Optional[Callable[["MemoryRequest", int], None]] = None
     request_id: int = field(default_factory=lambda: next(_request_ids))
     metadata: dict = field(default_factory=dict)
+    queue_seq: int = 0
 
     @property
     def is_write(self) -> bool:

@@ -1,89 +1,235 @@
-"""Memory request scheduling policies.
+"""Memory request scheduling policies over a per-bank request index.
 
 The paper's controller uses FR-FCFS with a *cap on column-over-row
 reordering* (FR-FCFS+Cap, Mutlu & Moscibroda MICRO'07) of four: row-buffer
 hits may be served ahead of older row-buffer misses, but at most ``cap``
 times in a row per bank, which bounds the starvation a row-hit-friendly
-(e.g. streaming or hammering) thread can inflict on others.
+(e.g. streaming or hammering) thread can inflict on others.  Plain FR-FCFS
+and strict FCFS are provided for ablation studies and tests.
 
-Two additional policies — plain FR-FCFS and strict FCFS — are provided for
-ablation studies and tests.
+Every policy works on the per-bank organisation of the request buffer that
+Ramulator 2.0 (Luo et al., IEEE CAL 2023) uses.  The controller tries at
+most one command per bank in a cycle (a bank that refused one command
+refuses the others, and a served request ends the cycle), so a policy is
+fully described by **one decision per bank** and the order of those
+decisions:
+
+* ``frfcfs_cap`` — the bank's first row hit in queue order, unless the
+  bank's cap is exhausted and an older miss waits ahead of it; otherwise
+  the bank's oldest miss.  Hits come before misses, each group in queue
+  (push) order.
+* ``frfcfs`` — the bank's oldest hit, else its oldest miss; hits before
+  misses, each by (arrival cycle, request id).
+* ``fcfs`` — the bank's oldest request, by (arrival cycle, request id).
+
+:meth:`BaseScheduler.decisions` keeps the ordered decisions of a
+:class:`~repro.controller.queues.RequestQueue` incrementally.  A bank's
+decision is recomputed only when one of its inputs changed: a push or
+remove on that bank (recorded by the queue in ``changed_banks``), or a
+command issued to the bank or a REF/PREA to its rank (reported by the
+controller through :meth:`BaseScheduler.note_command`).  A bank's cap
+counter changes only when one of its requests is served, right after the
+RD/WR that served it, so the command already covers it.  A command the
+scheduler was not told about (detected through the channel's issue serial)
+invalidates every decision, so the cache can only cost time, never change
+a result.
+
+Each decision also names the command its request needs next (RD/WR for a
+hit, PRE to close a conflicting row, ACT for a closed bank), which lets the
+controller reject timing-blocked attempts from that command's floors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from operator import attrgetter
+from typing import Dict, List, Optional, Tuple
 
+from repro.controller.queues import RequestQueue
 from repro.controller.request import MemoryRequest
+from repro.dram.commands import CommandType
 from repro.dram.device import Channel
 
+#: Order offset placing every FR-FCFS+Cap miss decision after every hit.
+_MISS_PHASE = 1 << 62
 
-@dataclass(slots=True)
+_ORDER = attrgetter("order")
+
+
+def _age(request: MemoryRequest) -> Tuple[int, int]:
+    return (request.arrival_cycle, request.request_id)
+
+
+@dataclass(slots=True, eq=False)
 class SchedulerDecision:
-    """The request chosen by the scheduler, with the reason recorded."""
+    """The request chosen for one bank, with the reason recorded.
+
+    ``command``, ``target`` and ``order`` are filled in by
+    :meth:`BaseScheduler.decisions`; hand-built decisions (tests, the batch
+    engine's predictions) may leave them unset.
+    """
 
     request: MemoryRequest
     is_row_hit: bool
     reason: str
+    #: The command the request needs next: RD/WR, PRE or ACT.
+    command: Optional[CommandType] = None
+    #: ``(command, rank, bank_group, bank)`` — the stalled-command tuple
+    #: the controller records when the command is not timing-ready.
+    target: Optional[tuple] = None
+    #: Sort key among the decisions of one queue (smaller goes first).
+    order: object = 0
+
+
+class _QueueView:
+    """The scheduler's cached decisions for one request queue."""
+
+    __slots__ = ("decided", "ordered")
+
+    def __init__(self) -> None:
+        self.decided: Dict[tuple, SchedulerDecision] = {}
+        self.ordered: List[SchedulerDecision] = []
 
 
 class BaseScheduler:
     """Interface shared by all scheduling policies.
 
-    ``prioritize`` returns candidates in descending priority; the controller
-    walks the list and issues the first command that is actually ready this
-    cycle, which preserves bank-level parallelism (a stalled head-of-line
-    request does not block requests to other banks).
+    A policy implements :meth:`_pick` (which request of one bank's
+    arrival-ordered list goes next) and :meth:`_order` (how decisions of
+    different banks are ranked); the per-bank cache and its invalidation
+    are shared.
     """
 
     name = "base"
 
-    def prioritize(self, candidates: List[MemoryRequest], channel: Channel,
-                   cycle: int) -> List[SchedulerDecision]:
+    def __init__(self) -> None:
+        self._views: Dict[RequestQueue, _QueueView] = {}
+        self._channel: Optional[Channel] = None
+        # Issue serial the cached decisions account for: note_command()
+        # advances it once per command it was told about.
+        self._serial = 0
+        # Bank objects are immortal per channel; (rank, group, bank) ->
+        # the bank keys seen for it, for note_command().
+        self._banks: Dict[tuple, object] = {}
+        self._keys_at: Dict[tuple, List[tuple]] = {}
+
+    # ------------------------------------------------------------------ #
+    # Policy
+    # ------------------------------------------------------------------ #
+    def _pick(self, requests: List[MemoryRequest], open_row: Optional[int],
+              key: tuple) -> Tuple[MemoryRequest, bool]:
+        """``(request, is_row_hit)`` for one bank's arrival-ordered list."""
+
         raise NotImplementedError
 
-    def iter_prioritized(self, candidates: List[MemoryRequest],
-                         channel: Channel, cycle: int,
-                         dedup_banks: bool = False
-                         ) -> Iterable[SchedulerDecision]:
-        """Yield decisions in priority order, constructing them on demand.
+    def _order(self, request: MemoryRequest, is_row_hit: bool,
+               seq: int) -> object:
+        """Sort key of a decision; ``seq`` is the request's queue position."""
 
-        The controller stops consuming after the first issued command (at
-        most ``MAX_SCHEDULE_ATTEMPTS`` failures), so building the full
-        decision list every cycle is wasted work on the hot path.  The
-        default just materialises :meth:`prioritize`; policies override it
-        to construct only the consumed prefix.
+        raise NotImplementedError
 
-        With ``dedup_banks`` the iterator may omit decisions that the
-        controller provably never attempts: it only ever tries the first
-        decision offered for each bank per cycle (a bank that refused one
-        command this cycle refuses the rest, and a served request ends the
-        cycle), so lower-priority decisions for an already-offered bank are
-        dead weight.  Policies that don't implement the dedup ignore the
-        flag — emitting the full sequence is always correct.
-        """
-
-        return self.prioritize(candidates, channel, cycle)
-
-    def choose(self, candidates: List[MemoryRequest], channel: Channel,
-               cycle: int) -> Optional[SchedulerDecision]:
-        """The single highest-priority candidate (convenience for tests)."""
-
-        ordered = self.prioritize(candidates, channel, cycle)
-        return ordered[0] if ordered else None
+    def _reason(self, is_row_hit: bool) -> str:
+        return "row-hit" if is_row_hit else "oldest-miss"
 
     def notify_served(self, decision: SchedulerDecision) -> None:
-        """Hook invoked when the chosen request's column command issues."""
+        """Hook invoked when the chosen request's column command issues.
 
+        Always follows the :meth:`note_command` of that RD/WR, which marks
+        the served bank for recomputation, so state a policy updates here
+        for that bank needs no invalidation of its own.
+        """
 
-def _is_row_hit(request: MemoryRequest, channel: Channel) -> bool:
-    coord = request.coordinate
-    if coord is None:
-        return False
-    return channel.bank(coord.rank, coord.bank_group, coord.bank).is_open(
-        coord.row
-    )
+    # ------------------------------------------------------------------ #
+    # Incremental per-bank decisions
+    # ------------------------------------------------------------------ #
+    def decisions(self, queue: RequestQueue,
+                  channel: Channel) -> List[SchedulerDecision]:
+        """``queue``'s per-bank decisions in priority order.
+
+        The returned list is owned by the scheduler and stays valid until
+        the next call; only banks whose inputs changed are recomputed.
+        """
+
+        view = self._views.get(queue)
+        if view is None or channel is not self._channel \
+                or channel.issue_serial != self._serial:
+            view = self._resync(queue, channel)
+        changed = queue.changed_banks
+        if changed:
+            decided = view.decided
+            by_bank = queue.by_bank
+            for key in changed:
+                requests = by_bank.get(key)
+                if requests:
+                    decided[key] = self._decide(requests, key)
+                else:
+                    decided.pop(key, None)
+            changed.clear()
+            view.ordered = sorted(decided.values(), key=_ORDER)
+        return view.ordered
+
+    def _resync(self, queue: RequestQueue, channel: Channel) -> _QueueView:
+        """Drop every cached decision (unseen commands or a new channel)."""
+
+        if channel is not self._channel:
+            self._channel = channel
+            self._banks = {}
+            self._keys_at = {}
+        self._serial = channel.issue_serial
+        for known, view in self._views.items():
+            view.decided.clear()
+            known.changed_banks.update(known.by_bank)
+        view = self._views.get(queue)
+        if view is None:
+            view = self._views[queue] = _QueueView()
+            queue.changed_banks.update(queue.by_bank)
+        return view
+
+    def _decide(self, requests: List[MemoryRequest],
+                key: tuple) -> SchedulerDecision:
+        bank = self._banks.get(key)
+        if bank is None:
+            bank = self._channel.ranks[key[1]].banks[key[2]][key[3]]
+            self._banks[key] = bank
+            self._keys_at.setdefault(key[1:], []).append(key)
+        open_row = bank.open_row if bank.is_open() else None
+        request, hit = self._pick(requests, open_row, key)
+        coord = request.coordinate
+        if hit:
+            command = CommandType.WR if request.kind.is_write \
+                else CommandType.RD
+        elif open_row is not None:
+            command = CommandType.PRE
+        else:
+            command = CommandType.ACT
+        return SchedulerDecision(
+            request, hit, self._reason(hit), command,
+            (command, coord.rank, coord.bank_group, coord.bank),
+            self._order(request, hit, request.queue_seq),
+        )
+
+    def note_command(self, kind: CommandType, rank: int, bank_group: int,
+                     bank: int) -> None:
+        """Invalidate the decisions an issued command may have changed.
+
+        The controller reports every command it issues.  A command to a
+        bank moves its open row and timing floors; REF and PREA act on
+        every bank of the rank.
+        """
+
+        self._serial += 1
+        if not self._views:
+            return
+        if kind is CommandType.REF or kind is CommandType.PREA:
+            for queue, view in self._views.items():
+                queue.changed_banks.update(
+                    key for key in view.decided if key[1] == rank
+                )
+            return
+        keys = self._keys_at.get((rank, bank_group, bank))
+        if keys:
+            for queue in self._views:
+                queue.changed_banks.update(keys)
 
 
 class FcfsScheduler(BaseScheduler):
@@ -91,14 +237,16 @@ class FcfsScheduler(BaseScheduler):
 
     name = "fcfs"
 
-    def prioritize(self, candidates: List[MemoryRequest], channel: Channel,
-                   cycle: int) -> List[SchedulerDecision]:
-        ordered = sorted(candidates,
-                         key=lambda r: (r.arrival_cycle, r.request_id))
-        return [
-            SchedulerDecision(req, _is_row_hit(req, channel), "fcfs-oldest")
-            for req in ordered
-        ]
+    def _pick(self, requests, open_row, key):
+        request = min(requests, key=_age)
+        return request, open_row is not None \
+            and request.coordinate.row == open_row
+
+    def _order(self, request, is_row_hit, seq):
+        return _age(request)
+
+    def _reason(self, is_row_hit: bool) -> str:
+        return "fcfs-oldest"
 
 
 class FrFcfsScheduler(BaseScheduler):
@@ -106,19 +254,15 @@ class FrFcfsScheduler(BaseScheduler):
 
     name = "frfcfs"
 
-    def prioritize(self, candidates: List[MemoryRequest], channel: Channel,
-                   cycle: int) -> List[SchedulerDecision]:
-        hits: List[MemoryRequest] = []
-        misses: List[MemoryRequest] = []
-        for req in candidates:
-            (hits if _is_row_hit(req, channel) else misses).append(req)
-        hits.sort(key=lambda r: (r.arrival_cycle, r.request_id))
-        misses.sort(key=lambda r: (r.arrival_cycle, r.request_id))
-        return [
-            SchedulerDecision(req, True, "row-hit") for req in hits
-        ] + [
-            SchedulerDecision(req, False, "oldest-miss") for req in misses
-        ]
+    def _pick(self, requests, open_row, key):
+        if open_row is not None:
+            hits = [r for r in requests if r.coordinate.row == open_row]
+            if hits:
+                return min(hits, key=_age), True
+        return min(requests, key=_age), False
+
+    def _order(self, request, is_row_hit, seq):
+        return (not is_row_hit, request.arrival_cycle, request.request_id)
 
 
 class FrFcfsCapScheduler(BaseScheduler):
@@ -135,96 +279,26 @@ class FrFcfsCapScheduler(BaseScheduler):
     def __init__(self, cap: int = 4) -> None:
         if cap < 1:
             raise ValueError("cap must be at least 1")
+        super().__init__()
         self.cap = cap
         self._hits_over_misses: Dict[tuple, int] = {}
-        # Bank objects are immortal for a given channel; resolving them
-        # through Channel.bank() on every classify pass was measurable.
-        self._bank_cache: Dict[tuple, object] = {}
-        self._bank_cache_channel: Optional[Channel] = None
 
-    def prioritize(self, candidates: List[MemoryRequest], channel: Channel,
-                   cycle: int) -> List[SchedulerDecision]:
-        return list(self.iter_prioritized(candidates, channel, cycle))
+    def _pick(self, requests, open_row, key):
+        first = requests[0]
+        if open_row is None:
+            return first, False
+        if first.coordinate.row == open_row:
+            return first, True
+        # The oldest request is a miss: a younger hit may bypass it only
+        # while the bank's reorder budget lasts.
+        if self._hits_over_misses.get(key, 0) < self.cap:
+            for request in requests:
+                if request.coordinate.row == open_row:
+                    return request, True
+        return first, False
 
-    def iter_prioritized(self, candidates: List[MemoryRequest],
-                         channel: Channel, cycle: int,
-                         dedup_banks: bool = False
-                         ) -> Iterable[SchedulerDecision]:
-        """Yield FR-FCFS+Cap decisions in priority order, lazily.
-
-        This is the controller's hottest loop, so it streams: candidates
-        arrive in queue (= arrival) order, which makes "an older miss to
-        this bank exists" exactly "a miss to this bank appeared earlier in
-        the walk" — so an eligible row hit can be yielded the moment it is
-        encountered, and when the controller issues for it (the common
-        case) the rest of the queue is never classified at all.  Misses and
-        cap-deferred hits are collected during the walk and yielded after
-        it, each already oldest-first.  Each bank is resolved exactly once
-        per walk (open-row lookups dominated when done per candidate).
-
-        ``dedup_banks`` (see the base class) prunes the sequence to the
-        first decision per bank: later same-bank hits can only follow a
-        yielded hit (skipped by the consumer's failed-bank rule), younger
-        misses can only follow their bank's oldest miss (ditto), and a
-        cap-deferred hit always has an older miss to the same bank ahead
-        of it in the sequence, so under the dedup rule it is never
-        attempted at all.
-        """
-
-        if not candidates:
-            return
-        if channel is not self._bank_cache_channel:
-            # Bank objects are immortal per channel; re-keying the cache
-            # guards tests that share one scheduler across channels.
-            self._bank_cache = {}
-            self._bank_cache_channel = channel
-        bank_cache = self._bank_cache
-        open_row_by_bank: Dict[tuple, Optional[int]] = {}
-        # Banks that already produced a miss (ordered_misses holds the
-        # oldest per bank plus, without dedup, every younger one).
-        banks_with_miss: set = set()
-        hit_yielded: set = set()
-        ordered_misses: List[tuple] = []  # (bank_key or None, request)
-        deferred_hits: List[MemoryRequest] = []
-        caps = self._hits_over_misses
-        cap = self.cap
-        for req in candidates:
-            coord = req.coordinate
-            if coord is None:
-                ordered_misses.append((None, req))
-                continue
-            key = coord.bank_key
-            if key in hit_yielded:
-                continue  # only reachable with dedup_banks
-            try:
-                open_row = open_row_by_bank[key]
-            except KeyError:
-                bank = bank_cache.get(key)
-                if bank is None:
-                    bank = channel.bank(coord.rank, coord.bank_group,
-                                        coord.bank)
-                    bank_cache[key] = bank
-                open_row = bank.open_row if bank.is_open() else None
-                open_row_by_bank[key] = open_row
-            if open_row is not None and open_row == coord.row:
-                if key in banks_with_miss and caps.get(key, 0) >= cap:
-                    if not dedup_banks:
-                        deferred_hits.append(req)  # cap: miss goes first
-                else:
-                    yield SchedulerDecision(req, True, "row-hit")
-                    if dedup_banks:
-                        hit_yielded.add(key)
-            elif key not in banks_with_miss:
-                banks_with_miss.add(key)
-                ordered_misses.append((key, req))
-            elif not dedup_banks:
-                ordered_misses.append((key, req))
-        for key, req in ordered_misses:
-            if key is not None and key in hit_yielded:
-                continue  # a yielded hit outranks this bank's misses
-            yield SchedulerDecision(req, False, "oldest-miss")
-        for req in deferred_hits:
-            yield SchedulerDecision(req, True, "capped-hit")
+    def _order(self, request, is_row_hit, seq):
+        return seq if is_row_hit else seq + _MISS_PHASE
 
     def notify_served(self, decision: SchedulerDecision) -> None:
         coord = decision.request.coordinate

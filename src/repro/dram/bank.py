@@ -77,34 +77,44 @@ class Bank:
     # ------------------------------------------------------------------ #
     # Ready checks
     # ------------------------------------------------------------------ #
+    def floor(self, kind: CommandType) -> int:
+        """Earliest cycle ``kind`` satisfies this bank's *timing* rules.
+
+        The single home of the per-kind bank timing floors (tRCD, tRAS,
+        tRC, tRP, tCCD, tRTP, tWR and maintenance blocks); :meth:`ready`
+        and :meth:`earliest_ready_cycle` derive from it.  State conditions
+        (open/closed) are not part of a floor.  The value only changes when
+        a command issues to this bank.
+        """
+
+        if kind is CommandType.RD or kind is CommandType.WR:
+            floor = self._next_rdwr
+        elif kind is CommandType.PRE or kind is CommandType.PREA:
+            floor = self._next_pre
+        elif kind is CommandType.ACT or kind.is_maintenance:
+            floor = self._next_act
+        else:
+            raise ValueError(f"unknown command type {kind}")
+        blocked = self._blocked_until
+        return floor if floor > blocked else blocked
+
     def ready(self, kind: CommandType, cycle: int) -> bool:
         """Return ``True`` if ``kind`` respects this bank's timing at ``cycle``."""
 
-        if cycle < self._blocked_until:
-            return False
-        if kind is CommandType.ACT:
-            return self.state is BankState.CLOSED and cycle >= self._next_act
-        if kind in (CommandType.PRE, CommandType.PREA):
-            return cycle >= self._next_pre
-        if kind in (CommandType.RD, CommandType.WR):
-            return self.state is BankState.OPEN and cycle >= self._next_rdwr
-        if kind in (CommandType.REF, CommandType.RFM, CommandType.VRR,
-                    CommandType.MIG):
-            # Maintenance commands require the bank to be precharged.
-            return self.state is BankState.CLOSED and cycle >= self._next_act
-        raise ValueError(f"unknown command type {kind}")
+        if kind is CommandType.RD or kind is CommandType.WR:
+            if self.state is not BankState.OPEN:
+                return False
+        elif kind is not CommandType.PRE and kind is not CommandType.PREA:
+            # ACT and the maintenance commands need a precharged bank.
+            if self.state is not BankState.CLOSED:
+                return False
+        return cycle >= self.floor(kind)
 
     def earliest_ready_cycle(self, kind: CommandType, cycle: int) -> int:
         """Best-effort estimate of when ``kind`` could be issued."""
 
-        base = max(cycle, self._blocked_until)
-        if kind is CommandType.ACT:
-            return max(base, self._next_act)
-        if kind in (CommandType.PRE, CommandType.PREA):
-            return max(base, self._next_pre)
-        if kind in (CommandType.RD, CommandType.WR):
-            return max(base, self._next_rdwr)
-        return max(base, self._next_act)
+        floor = self.floor(kind)
+        return floor if floor > cycle else cycle
 
     # ------------------------------------------------------------------ #
     # Issue

@@ -51,20 +51,36 @@ class Rank:
             yield from group
 
     # ------------------------------------------------------------------ #
-    def _act_allowed_cycle(self, bank_group: int, cycle: int) -> int:
-        """Earliest cycle an ACT to ``bank_group`` may be issued rank-wide."""
+    def act_floor(self, bank_group: int) -> int:
+        """Rank-wide ACT spacing floor for ``bank_group`` (tRRD_S/L, tFAW).
 
-        earliest = max(cycle, self._blocked_until)
+        Changes with every ACT issued anywhere in the rank; the REF block
+        is part of :meth:`floor`, not of this.
+        """
+
+        floor = 0
         if self._last_act_cycle >= 0:
-            spacing = (
+            floor = self._last_act_cycle + (
                 self.timing.trrd_l
                 if bank_group == self._last_act_bank_group
                 else self.timing.trrd_s
             )
-            earliest = max(earliest, self._last_act_cycle + spacing)
         if len(self._act_history) == self._act_history.maxlen:
-            earliest = max(earliest, self._act_history[0] + self.timing.tfaw)
-        return earliest
+            faw = self._act_history[0] + self.timing.tfaw
+            if faw > floor:
+                floor = faw
+        return floor
+
+    def floor(self, kind: CommandType, bank_group: int, bank: int) -> int:
+        """Bank floor of ``kind`` combined with the rank's REF block.
+
+        Everything rank-level except the ACT spacing (:meth:`act_floor`).
+        Not meaningful for REF/PREA.
+        """
+
+        floor = self.banks[bank_group][bank].floor(kind)
+        blocked = self._blocked_until
+        return floor if floor > blocked else blocked
 
     def ready(self, command: Command, cycle: int) -> bool:
         """Check rank-level and bank-level constraints for ``command``."""
@@ -84,7 +100,7 @@ class Rank:
         if cycle < self._blocked_until and kind is not CommandType.REF:
             return False
         if kind is CommandType.ACT:
-            if self._act_allowed_cycle(bank_group, cycle) > cycle:
+            if self.act_floor(bank_group) > cycle:
                 return False
         if kind is CommandType.REF:
             # All banks must be precharged and idle.
@@ -113,15 +129,10 @@ class Rank:
                 b.earliest_ready_cycle(CommandType.REF, cycle)
                 for b in self.iter_banks()
             )
-        earliest = max(
-            self.banks[bank_group][bank].earliest_ready_cycle(kind, cycle),
-            self._blocked_until,
-        )
+        earliest = self.floor(kind, bank_group, bank)
         if kind is CommandType.ACT:
-            earliest = max(
-                earliest, self._act_allowed_cycle(bank_group, cycle)
-            )
-        return earliest
+            earliest = max(earliest, self.act_floor(bank_group))
+        return earliest if earliest > cycle else cycle
 
     def issue(self, command: Command, cycle: int) -> int:
         """Issue ``command`` and return its completion cycle."""
@@ -190,7 +201,10 @@ class Channel:
         self.ranks: List[Rank] = [
             Rank(config, rank_index=r) for r in range(config.ranks)
         ]
-        self._data_bus_free_at = 0
+        # Data-bus floor: the earliest cycle any RD/WR may issue (the burst
+        # of the previous column command must finish).  Read-only outside
+        # this class.
+        self.data_bus_free_at = 0
         self.commands_issued: Dict[CommandType, int] = {
             kind: 0 for kind in CommandType
         }
@@ -230,7 +244,7 @@ class Channel:
                    bank: int, cycle: int) -> bool:
         """Equivalent of :meth:`ready` from a command's coordinates."""
 
-        if kind.is_column_command and cycle < self._data_bus_free_at:
+        if kind.is_column_command and cycle < self.data_bus_free_at:
             return False
         return self.ranks[rank_index].kind_ready(kind, bank_group, bank,
                                                  cycle)
@@ -249,7 +263,7 @@ class Channel:
             kind, bank_group, bank, cycle
         )
         if kind.is_column_command:
-            earliest = max(earliest, self._data_bus_free_at)
+            earliest = max(earliest, self.data_bus_free_at)
         return earliest
 
     def issue(self, command: Command, cycle: int) -> int:
@@ -259,7 +273,7 @@ class Channel:
             )
         done = self.ranks[command.rank].issue(command, cycle)
         if command.kind.is_column_command:
-            self._data_bus_free_at = cycle + self.timing.tbl
+            self.data_bus_free_at = cycle + self.timing.tbl
         self.commands_issued[command.kind] += 1
         self.issue_serial += 1
         if self.journal is not None:

@@ -17,14 +17,14 @@ plus the scheduler-facing queue digest: first-hit/first-miss arrival
 positions per (queue, bank) bucket, the per-bank cap saturation flag, and
 the per-lane write-drain occupancy thresholds.  Each global cycle one
 array program computes, for all predicted lanes at once, the decision the
-scheduler walk *would* reach — the winning request and whether it is a
+controller's request scan *would* reach — the winning request and whether it is a
 row hit, or the stalled-command bounds of a fully-failed scan — and
 installs it as the controller's one-shot scan prediction.
 
 The prediction is *advisory by construction*: the controller validates it
 against ``(cycle, channel issue serial, queue versions)`` and re-derives
 every side effect through the ordinary ``_try_serve`` path, so a stale or
-wrong prediction degrades to the scalar walk instead of diverging.  The
+wrong prediction degrades to the scalar scan instead of diverging.  The
 mirrors are therefore maintained for speed, not for safety: they are
 synced *read-back style* from journals the channel and queues record
 (never by re-implementing the update rules), which keeps them exact and
@@ -32,8 +32,8 @@ keeps the misprediction counters at zero in practice.
 
 Mirror folding is lazy and engagement is adaptive: journals accumulate
 per lane and are folded only when the lane is worth predicting — queue
-depth at or above :data:`PREDICT_MIN_QUEUE`, where the scalar walk's
-per-candidate cost exceeds the prediction's fixed cost.  Shallow-queue
+depth at or above :data:`PREDICT_MIN_QUEUE`, where the scalar scan's
+cost exceeds the prediction's fixed cost.  Shallow-queue
 lanes skip both the fold and the prediction and run the ordinary scalar
 scan (with the controller's own failed-scan memo), so batching never
 loses to solo runs on lightly-loaded workloads.  A lane whose journal
@@ -42,14 +42,14 @@ re-snapshotted from scratch instead of replayed.
 
 Eligibility (checked once per lane, revoked permanently on violation):
 
-* the scheduler is exactly :class:`FrFcfsCapScheduler` (the dedup walk
-  modelled here),
+* the scheduler is exactly :class:`FrFcfsCapScheduler` (the one-decision-
+  per-bank form modelled here),
 * the mitigation cannot veto activations (BlockHammer-style gating makes
   the scan outcome time-dependent in ways a prediction cannot carry),
 * every queued request carries a decoded coordinate.
 
 Channels with more banks than ``MAX_SCHEDULE_ATTEMPTS`` are handled by
-modelling the walk's attempt budget: the dedup walk tries decisions in
+modelling the scan's attempt budget: the scan tries per-bank decisions in
 sequence order and gives up after ``MAX_SCHEDULE_ATTEMPTS`` failures, so
 the winner is the first *ready* decision among the budget-many smallest
 sequence keys, and a fully-failed scan stalls exactly those decisions.
@@ -74,7 +74,7 @@ from repro.dram.commands import CommandType
 #: Sentinel "no entry" position; larger than any real arrival position.
 _BIG = 1 << 60
 #: Sequence-key offset placing all miss decisions after all hit decisions
-#: (the walk yields row hits during the queue pass, misses after it).
+#: (the scheduler ranks row hits before misses).
 _MISS_OFFSET = 1 << 48
 #: Sequence key larger than any real or padded decision key.
 _NO_DECISION = 1 << 62
@@ -82,7 +82,7 @@ _NO_DECISION = 1 << 62
 _NEG = -(1 << 60)
 
 #: Combined read+write queue depth from which a lane's scan is predicted.
-#: Below it the scalar walk (plus the controller's failed-scan memo) is
+#: Below it the scalar scan (plus the controller's failed-scan memo) is
 #: cheaper than the prediction's fixed per-lane cost.
 PREDICT_MIN_QUEUE = 4
 
@@ -260,7 +260,7 @@ class ScanAccelerator:
         return (coord.rank * lane.BG + coord.bank_group) * lane.BA + coord.bank
 
     def _disable(self, lane) -> None:
-        """Permanently revoke a lane's predictions (scalar walk takes over)."""
+        """Permanently revoke a lane's predictions (scalar scan takes over)."""
 
         lane.eligible = False
         lane.predicting = False
@@ -353,7 +353,7 @@ class ScanAccelerator:
     def _read_scalars(self, lane) -> None:
         i = lane.mirror_index
         ctrl = lane.ctrl
-        self.bus_free[i] = lane.channel._data_bus_free_at
+        self.bus_free[i] = lane.channel.data_bus_free_at
         self.rq_len[i] = len(ctrl.read_queue)
         self.wq_len[i] = len(ctrl.write_queue)
         self.drain[i] = ctrl._write_drain
@@ -531,15 +531,15 @@ class ScanAccelerator:
         else:
             hp = self.hp[idx, aq]
             mp = self.mp[idx, aq]
-        # The walk cap-defers a hit only when an older miss to the same
-        # bank was already seen, i.e. the first miss precedes the first hit.
+        # The scheduler cap-defers a hit only when an older miss to the same
+        # bank waits ahead of it, i.e. the first miss precedes the first hit.
         y_hit = (hp < _BIG) & ~((mp < hp) & self.capped[idx])
         pos = np.where(y_hit, hp, mp)
         # Non-decisions land at >= _BIG (+ _MISS_OFFSET), past every real
         # decision key, so no explicit no-decision sentinel is needed.
         seq = np.where(y_hit, pos, pos + _MISS_OFFSET)
         has_dec = pos < _BIG
-        # The walk gives up after MAX_SCHEDULE_ATTEMPTS failed decisions,
+        # The scan gives up after MAX_SCHEDULE_ATTEMPTS failed decisions,
         # so only the budget-many smallest sequence keys are ever tried
         # (decision keys are unique: queue positions are).
         if self.budget_mask_needed:
@@ -573,7 +573,7 @@ class ScanAccelerator:
                 )
                 continue
             # Fully-failed scan: reproduce the stalled-command tuples in
-            # walk order (hits by position, then misses by position).
+            # scan order (hits by position, then misses by position).
             stalled: List[Tuple] = []
             row = seq[k]
             dec_banks = np.nonzero(tryable[k])[0]

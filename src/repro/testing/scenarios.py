@@ -4,17 +4,18 @@ A :class:`Scenario` is one fully specified simulation setup: workload mix
 (benign intensities, attacker, DMA stream), mitigation mechanism with its
 threshold *and its internals* (``mitigation_kwargs``: PRAC back-off
 servicing, Graphene/Hydra table sizes), BreakHammer, device geometry (rank
-count, timing compression), scheduler policy, and every run-bounding knob
-the engines must agree on (cycle budget, warmup boundary, instruction
-limit).  The sampler draws
+count, timing compression), scheduler policy and cap, and every
+run-bounding knob the engines must agree on (cycle budget, warmup boundary,
+instruction limit).  The sampler draws
 scenarios from that space deterministically from a seed, so any scenario —
 and any whole campaign — can be replayed exactly.
 
 Mechanism coverage is guaranteed, not hoped for: scenario ``i`` of a batch
 uses mechanism ``FUZZ_MECHANISMS[i % len]``, so any batch of at least ten
 scenarios exercises every registered mitigation (the paper's eight paired
-mechanisms plus ``none`` and BlockHammer); the remaining dimensions are
-sampled randomly.
+mechanisms plus ``none`` and BlockHammer).  The attacker geometry, the
+FR-FCFS+Cap cap and the checked engines rotate by index the same way; the
+remaining dimensions are sampled randomly.
 """
 
 from __future__ import annotations
@@ -40,6 +41,15 @@ FUZZ_MECHANISMS: Tuple[str, ...] = (*PAIRED_MECHANISMS, "none", "blockhammer")
 #: paper's double-sided attacker, ``S`` many-sided, ``X`` half-double.
 ATTACK_LETTER_ROTATION: Tuple[str, ...] = tuple(ATTACKER_LETTERS)
 
+#: FR-FCFS+Cap caps the sampler rotates through by scenario index (like
+#: attacker letters: never an RNG draw, so the other dimensions sample as
+#: before).  Cap 1 and 2 reach the capped-hit branch of the scheduler far
+#: more often than the paper's 4.  The attacker letter and the checked
+#: engine both step with ``index % 3``, so the cap steps with
+#: ``index // 3``: every attacker/engine pair meets every cap within nine
+#: consecutive scenarios.
+SCHEDULER_CAP_ROTATION: Tuple[int, ...] = (4, 1, 2)
+
 #: Seed of the fixed pytest corpora (``-m fuzz_smoke``); never change it
 #: without re-validating the corpus, it defines which scenarios CI pins.
 CORPUS_SEED = 2024
@@ -61,6 +71,8 @@ class Scenario:
     attacker_entries: int = 1_600
     ranks: int = 2
     scheduler: str = "frfcfs_cap"
+    #: FR-FCFS+Cap reorder cap (ignored by the other policies).
+    scheduler_cap: int = 4
     time_compression: float = 4.0
     #: Per-mechanism constructor overrides (PRAC back-off servicing,
     #: Graphene/Hydra table sizes, …) as sorted (name, value) pairs so the
@@ -97,6 +109,8 @@ class Scenario:
             extras.append(f"il{self.instruction_limit}")
         if self.ranks != 2:
             extras.append(f"r{self.ranks}")
+        if self.scheduler_cap != 4:
+            extras.append(f"cap{self.scheduler_cap}")
         extras.extend(
             f"{name.replace('_', '')}{value}"
             for name, value in self.mitigation_kwargs
@@ -123,6 +137,7 @@ class Scenario:
             and self.instruction_limit is None
             and self.ranks == 2
             and self.scheduler == "frfcfs_cap"
+            and self.scheduler_cap == 4
             and self.time_compression == 4.0
             and not self.mitigation_kwargs  # grid points use registry defaults
             and "D" not in self.mix
@@ -262,6 +277,8 @@ def _sample_scenario(rng: random.Random, index: int,
         attacker_entries=rng.choice(profile.attacker_entries_choices),
         ranks=rng.choice((1, 2, 2)),
         scheduler=rng.choice(("frfcfs_cap", "frfcfs_cap", "frfcfs", "fcfs")),
+        scheduler_cap=SCHEDULER_CAP_ROTATION[
+            (index // 3) % len(SCHEDULER_CAP_ROTATION)],
         time_compression=rng.choice((4.0, 4.0, 2.0)),
         mitigation_kwargs=_sample_mitigation_kwargs(rng, mechanism),
         extra_seeds=_sample_extra_seeds(index, seed, sim_cycles),
@@ -299,7 +316,25 @@ def fuzz_corpus(count: int = 44) -> List[Scenario]:
     """
 
     return (generate_scenarios(CORPUS_SEED, count, FuzzProfile.smoke())
-            + cluster_corpus() + batch_corpus())
+            + cluster_corpus() + batch_corpus() + _capped_attack_corpus())
+
+
+def _capped_attack_corpus() -> List[Scenario]:
+    """Cap 1 on double-sided (``A``) attack mixes.
+
+    Pinned regardless of what the sampled corpus draws: the tightest cap
+    under the paper's attacker, with the batch engine's kernel (which
+    models the cap) diffed as well.
+    """
+
+    shape = dict(sim_cycles=1_200, entries_per_core=600,
+                 attacker_entries=800, scheduler_cap=1)
+    return [
+        Scenario(seed=1, mix="HMAA", mechanism="graphene", nrh=64,
+                 breakhammer=True, check_engines=("fast", "batch"), **shape),
+        Scenario(seed=2, mix="MMLA", mechanism="para", nrh=256,
+                 breakhammer=False, **shape),
+    ]
 
 
 def batch_corpus() -> List[Scenario]:
@@ -434,6 +469,7 @@ def build_system_config(scenario: Scenario) -> SystemConfig:
     changes = {
         "num_cores": len(scenario.mix),
         "scheduler": scenario.scheduler,
+        "scheduler_cap": scenario.scheduler_cap,
     }
     if scenario.mitigation_kwargs:
         changes["mitigation_kwargs"] = dict(scenario.mitigation_kwargs)
@@ -480,7 +516,8 @@ def simplifications(scenario: Scenario) -> List[Scenario]:
 
     Ordered most-aggressive first: dropping a core removes an entire trace,
     halving the budget halves the run, and clearing warmup / instruction
-    limit / BreakHammer removes a whole contract dimension.  Machine-shape
+    limit / BreakHammer removes a whole contract dimension.  A non-default
+    scheduler cap is reset to the paper's 4.  The other machine-shape
     knobs (scheduler, ranks, compression) are left alone — changing them
     would change *which* bug is being reproduced.
     """
@@ -504,6 +541,8 @@ def simplifications(scenario: Scenario) -> List[Scenario]:
         candidates.append(replace(scenario, instruction_limit=None))
     if scenario.breakhammer:
         candidates.append(replace(scenario, breakhammer=False))
+    if scenario.scheduler_cap != 4:
+        candidates.append(replace(scenario, scheduler_cap=4))
     if scenario.mitigation_kwargs:
         # Drop all overrides first, then one at a time.
         candidates.append(replace(scenario, mitigation_kwargs=()))

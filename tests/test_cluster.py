@@ -158,6 +158,22 @@ class TestProtocol:
             parse_address("no-port-here")
 
 
+class TestBrokerShutdown:
+    @pytest.mark.parametrize("kind", ["unix", "tcp"])
+    def test_close_does_not_wait_for_the_accept_thread(self, kind, tmp_path):
+        # The accept thread must wake when the listener closes; before the
+        # fix it stayed blocked in accept() and stop() waited out the full
+        # 5 s join timeout.
+        broker = (f"unix:{tmp_path / 'broker.sock'}" if kind == "unix"
+                  else "127.0.0.1:0")
+        session = Session(SPEC, backend="cluster", broker=broker, workers=0,
+                          cache_dir="")
+        assert cluster_broker(session).address.kind == kind
+        started = time.monotonic()
+        session.close()
+        assert time.monotonic() - started < 1.0
+
+
 # ---------------------------------------------------------------------- #
 # The acceptance contract: cluster == serial, cold and warm
 # ---------------------------------------------------------------------- #

@@ -76,6 +76,26 @@ def _decorated_requests(channel, mapper, specs):
     return requests
 
 
+def _queued(requests):
+    queue = RequestQueue()
+    for request in requests:
+        assert queue.push(request)
+    return queue
+
+
+def _serve_hit(channel, scheduler, queue, decision, cycle):
+    """Serve a row-hit decision the way the controller does."""
+
+    coord = decision.request.coordinate
+    channel.issue(Command(CommandType.RD, rank=coord.rank,
+                          bank_group=coord.bank_group, bank=coord.bank,
+                          row=coord.row, column=coord.column), cycle)
+    scheduler.note_command(CommandType.RD, coord.rank, coord.bank_group,
+                           coord.bank)
+    queue.remove(decision.request)
+    scheduler.notify_served(decision)
+
+
 @pytest.fixture()
 def channel_and_mapper():
     cfg = DeviceConfig.tiny()
@@ -93,7 +113,7 @@ class TestSchedulers:
     def test_fcfs_orders_by_age(self, channel_and_mapper):
         channel, mapper = channel_and_mapper
         reqs = _decorated_requests(channel, mapper, [(4096, 5), (0, 1)])
-        ordered = FcfsScheduler().prioritize(reqs, channel, 10)
+        ordered = FcfsScheduler().decisions(_queued(reqs), channel)
         assert ordered[0].request.arrival_cycle == 1
 
     def test_frfcfs_prefers_open_row(self, channel_and_mapper):
@@ -107,7 +127,7 @@ class TestSchedulers:
                               row=coord.row), 0)
         reqs = _decorated_requests(channel, mapper,
                                    [(miss_addr, 0), (hit_addr, 10)])
-        decision = FrFcfsScheduler().choose(reqs, channel, 50)
+        decision = FrFcfsScheduler().decisions(_queued(reqs), channel)[0]
         assert decision.is_row_hit
         assert decision.request.address == hit_addr
 
@@ -125,19 +145,19 @@ class TestSchedulers:
             channel, mapper,
             [(hit_addr + 64 * i, 10 + i) for i in range(4)],
         )
-        candidates = [miss] + hits
+        queue = _queued([miss] + hits)
         served_hits = 0
-        for _ in range(3):
-            decision = scheduler.choose(candidates, channel, 100)
+        for step in range(3):
+            decision = scheduler.decisions(queue, channel)[0]
             if decision.is_row_hit:
                 served_hits += 1
-                scheduler.notify_served(decision)
-                candidates.remove(decision.request)
+                _serve_hit(channel, scheduler, queue, decision,
+                           100 * (step + 1))
             else:
                 break
         # After `cap` hits bypassed the older miss, the miss must win.
         assert served_hits == 2
-        final = scheduler.choose(candidates, channel, 101)
+        final = scheduler.decisions(queue, channel)[0]
         assert not final.is_row_hit
         assert final.request is miss
 
@@ -154,8 +174,7 @@ class TestSchedulers:
 
     def test_empty_candidates(self, channel_and_mapper):
         channel, _ = channel_and_mapper
-        assert FrFcfsCapScheduler().choose([], channel, 0) is None
-        assert FrFcfsCapScheduler().prioritize([], channel, 0) == []
+        assert FrFcfsCapScheduler().decisions(RequestQueue(), channel) == []
 
     def test_invalid_cap(self):
         with pytest.raises(ValueError):

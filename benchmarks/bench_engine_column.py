@@ -1,37 +1,24 @@
-"""Batch engine vs serial fast vs cycle on one N_RH column.
+"""Serial fast vs cycle on one N_RH column.
 
-The lockstep batch engine's value proposition: an N_RH column — the sweep
-shape behind Figs. 8/9/10/12, here (HHMA, graphene) × N_RH × BreakHammer,
-eight grid points — executed as **one** multi-lane
-:class:`repro.sim.batch.BatchSimulator` run, with the vectorised
-FR-FCFS+Cap scan computing all lanes' scheduling decisions as one array
-program per global cycle, versus the same eight points run back-to-back
-under the serial ``fast`` engine, versus the per-cycle ``cycle``
-reference (timed on a two-point subset: it is an order of magnitude
-slower and its cost is linear in the points).
-
-Honest numbers: the batch engine is bit-identical by construction
-(predictions are validated against live controller state before being
-consumed), which bounds its speedup — roughly three quarters of a
-saturated column's runtime is per-lane tick work (cores, LLC, controller
-bookkeeping) that batching cannot share, so expect ~1.1–1.4x over serial
-fast on saturated columns, not multiples.  The cycle comparison shows the
-combined effect: batch ≈ fast ≈ 10–30x over the reference.
+An N_RH column — the sweep shape behind Figs. 8/9/10/12, here
+(HHMA, graphene) × N_RH × BreakHammer, eight grid points — run
+back-to-back under the serial ``fast`` engine, versus the per-cycle
+``cycle`` reference (timed on a two-point subset: it is an order of
+magnitude slower and its cost is linear in the points).
 
 Timings land in ``benchmarks/results/BENCH_sweep.json`` (see
-``conftest.record_sweep``); bit-identity of every lane against solo fast
-runs is asserted here and generatively by ``tests/test_fuzz_smoke.py``.
+``conftest.record_sweep``); bit-identity of the two engines is asserted
+by ``tests/test_engine_equivalence.py`` and generatively by
+``tests/test_fuzz_smoke.py``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 
 import pytest
 
-from repro.sim.batch import BatchSimulator
 from repro.sim.config import SimulationConfig, SystemConfig
 from repro.sim.simulator import Simulator
 from repro.workloads.attacker import AttackerConfig
@@ -85,10 +72,6 @@ def _timed(func):
     return value, time.perf_counter() - started
 
 
-#: Serial-fast reference results, shared by the identity assertions.
-_FAST_STATS: list = []
-
-
 @pytest.mark.bench_smoke
 def test_column_serial_fast(benchmark):
     def sweep():
@@ -96,37 +79,9 @@ def test_column_serial_fast(benchmark):
         (results, seconds) = _timed(lambda: [s.run() for s in sims])
         record_sweep(figure=_COLUMN_ID, engine="fast", jobs=1,
                      seconds=seconds, runs=len(results))
-        _FAST_STATS.clear()
-        _FAST_STATS.extend(dataclasses.asdict(r.stats) for r in results)
         return len(results)
 
     assert run_once(benchmark, sweep) == 2 * len(_NRH_COLUMN)
-
-
-@pytest.mark.bench_smoke
-def test_column_batch(benchmark):
-    def sweep():
-        sims = _column_simulators("fast")  # BatchSimulator drives directly
-        batch = BatchSimulator(sims)
-        (results, seconds) = _timed(batch.run)
-        scan = batch.scan_stats()
-        record_sweep(figure=_COLUMN_ID, engine="batch", jobs=1,
-                     seconds=seconds, runs=len(results),
-                     eligible_lanes=scan["eligible_lanes"],
-                     predictions_used=scan["predictions_used"],
-                     mispredictions=scan["mispredictions"])
-        return results, scan
-
-    results, scan = run_once(benchmark, sweep)
-    # The vectorised scan really drove the lanes, and never mispredicted
-    # (mispredictions would silently fall back to the scalar walk).
-    assert scan["eligible_lanes"] == len(results)
-    assert scan["predictions_used"] > 0
-    assert scan["mispredictions"] == 0
-    # Bit-identical to the serial fast column, lane for lane.
-    if _FAST_STATS:  # populated when the fast benchmark ran first
-        batch_stats = [dataclasses.asdict(r.stats) for r in results]
-        assert batch_stats == _FAST_STATS
 
 
 @pytest.mark.bench_smoke

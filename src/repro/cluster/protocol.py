@@ -51,7 +51,8 @@ from typing import Optional, Tuple
 #: Bump on any incompatible change to the message schema.
 #: v2: ``work`` carries a task list (chunked claims) and ``result`` is
 #: stamped with the worker's observed ``elapsed`` seconds.
-PROTOCOL_VERSION = 2
+#: v3: ``RunTask`` lost its ``group`` field (lockstep batch tasks are gone).
+PROTOCOL_VERSION = 3
 
 #: Frame header: magic, CRC32 of the body, body length.
 _FRAME_MAGIC = b"RCLU"

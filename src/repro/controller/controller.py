@@ -47,11 +47,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.controller.queues import RequestQueue
 from repro.controller.request import MemoryRequest, RequestType
-from repro.controller.scheduler import (
-    BaseScheduler,
-    FrFcfsCapScheduler,
-    SchedulerDecision,
-)
+from repro.controller.scheduler import BaseScheduler, FrFcfsCapScheduler
 from repro.dram.address import AddressMapper, DramAddress, MappingScheme
 from repro.dram.commands import Command, CommandType
 from repro.dram.config import DeviceConfig
@@ -154,7 +150,7 @@ class MemoryController:
 
         # Whether the mitigation can veto activations (BlockHammer-style).
         # A gating mechanism makes the request-scan outcome depend on time
-        # in ways the scan caches below cannot see, so both are disabled.
+        # in ways the failed-scan memo below cannot see, so it is disabled.
         self._gating_mitigation = (
             type(self.mitigation).allow_activation
             is not MitigationMechanism.allow_activation
@@ -166,17 +162,6 @@ class MemoryController:
         # changes, the scan can be replayed without walking the queue.
         # ``None`` or ``(key, stalled_tuples, earliest_ready_bound)``.
         self._scan_memo: Optional[Tuple] = None
-        # One-shot scan prediction installed by the batch engine's
-        # vectorised kernel: ``(cycle, issue_serial, read_version,
-        # write_version, winner_request_or_None, is_row_hit,
-        # stalled_tuples)``.  Consumed (and validated) by
-        # _issue_request_command; a stale or wrong prediction falls back to
-        # the ordinary request scan, so predictions can never change
-        # behaviour — only skip provably-identical work.
-        self._scan_prediction: Optional[Tuple] = None
-        self.scan_predictions_used = 0
-        self.scan_mispredictions = 0
-        self.scan_memo_hits = 0
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -487,35 +472,6 @@ class MemoryController:
                 self.write_queue.version)
 
     def _issue_request_command(self, cycle: int) -> bool:
-        prediction = self._scan_prediction
-        if prediction is not None:
-            self._scan_prediction = None
-            if (prediction[0] == cycle
-                    and prediction[1] == self.channel.issue_serial
-                    and prediction[2] == self.read_queue.version
-                    and prediction[3] == self.write_queue.version):
-                request = prediction[4]
-                if request is None:
-                    # Predicted full failure: replay the stalled commands
-                    # the scan would have recorded (they feed
-                    # next_event_cycle's timing bounds) and skip the scan.
-                    if prediction[6]:
-                        self._stalled_commands.extend(prediction[6])
-                    self.scan_predictions_used += 1
-                    return False
-                is_row_hit = prediction[5]
-                decision = SchedulerDecision(
-                    request, is_row_hit,
-                    "row-hit" if is_row_hit else "oldest-miss",
-                )
-                if self._try_serve(decision, cycle):
-                    self.scan_predictions_used += 1
-                    return True
-                # Wrong prediction: the failed attempt only appended a
-                # stalled-command bound (idempotent for next_event_cycle),
-                # so falling through to the full scan stays exact.
-                self.scan_mispredictions += 1
-
         memo = self._scan_memo
         if memo is not None:
             if memo[0] == self._scan_key():
@@ -524,7 +480,6 @@ class MemoryController:
                     # command can have become timing-ready: the scan would
                     # fail exactly as before.
                     self._stalled_commands.extend(memo[1])
-                    self.scan_memo_hits += 1
                     return False
             else:
                 self._scan_memo = None
@@ -585,39 +540,6 @@ class MemoryController:
             self._scan_memo = (self._scan_key(), tuple(stalled[stall_start:]),
                                bound)
         return False
-
-    def _try_serve(self, decision, cycle: int) -> bool:
-        """One fully-checked attempt at ``decision`` (batch predictions).
-
-        Derives the command from the bank's live state and re-checks every
-        gate through Channel.kind_ready before :meth:`_serve` issues it.
-        """
-
-        request = decision.request
-        coord = request.coordinate
-        assert coord is not None
-        bank = self.channel.ranks[coord.rank].banks[coord.bank_group][
-            coord.bank]
-        if bank.is_open():
-            if bank.open_row == coord.row:
-                kind = CommandType.WR if request.is_write else CommandType.RD
-            else:
-                kind = CommandType.PRE
-        else:
-            kind = CommandType.ACT
-            if self.refresh_manager.urgency(coord.rank, cycle) >= \
-                    self.REFRESH_PRIORITY_URGENCY:
-                return False
-            if not self._allow_activation(coord, cycle):
-                return False
-        if not self.channel.kind_ready(kind, coord.rank, coord.bank_group,
-                                       coord.bank, cycle):
-            self._stalled_commands.append(
-                (kind, coord.rank, coord.bank_group, coord.bank)
-            )
-            return False
-        self._serve(decision, kind, cycle)
-        return True
 
     def _allow_activation(self, coord: DramAddress, cycle: int) -> bool:
         """The mitigation's activation gate (BlockHammer-style delays).

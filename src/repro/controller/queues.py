@@ -40,14 +40,10 @@ class RequestQueue:
         self.rejected_total = 0
         self.peak_occupancy = 0
         # Mutation version: bumped on every successful push and every
-        # remove.  Consumers (the batch engine's scan predictions, the
-        # controller's failed-scan memo) compare it to prove the queue —
-        # and hence the scheduler's candidate sequence — is unchanged.
+        # remove.  The controller's failed-scan memo compares it to prove
+        # the queue — and hence the scheduler's candidate sequence — is
+        # unchanged.
         self.version = 0
-        # Optional mutation journal: when set (by the batch engine) every
-        # push/remove is appended as ``(is_push, request)`` so array
-        # mirrors can be maintained incrementally.
-        self.journal: Optional[List] = None
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -88,8 +84,6 @@ class RequestQueue:
             self.changed_banks.add(key)
         self.enqueued_total += 1
         self.version += 1
-        if self.journal is not None:
-            self.journal.append((True, request))
         self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
         return True
 
@@ -106,8 +100,6 @@ class RequestQueue:
                 del self.by_bank[key]
             self.changed_banks.add(key)
         self.version += 1
-        if self.journal is not None:
-            self.journal.append((False, request))
 
     def oldest(self) -> Optional[MemoryRequest]:
         """Return the oldest request without removing it."""

@@ -65,8 +65,8 @@ class SchedulerDecision:
     """The request chosen for one bank, with the reason recorded.
 
     ``command``, ``target`` and ``order`` are filled in by
-    :meth:`BaseScheduler.decisions`; hand-built decisions (tests, the batch
-    engine's predictions) may leave them unset.
+    :meth:`BaseScheduler.decisions`; hand-built decisions (tests) may
+    leave them unset.
     """
 
     request: MemoryRequest

@@ -14,7 +14,6 @@ a suspect thread may only have ``Q_i`` outstanding LLC misses at a time.
 
 from repro.cpu.cache import CacheConfig, CacheStats, SetAssociativeCache
 from repro.cpu.core_model import Core, CoreConfig, CoreStats
-from repro.cpu.dma import DmaConfig, DmaEngine, OutstandingRequestTable
 from repro.cpu.mshr import MshrEntry, MshrFile
 from repro.cpu.trace import Trace, TraceEntry, TraceWindowStats
 
@@ -24,11 +23,8 @@ __all__ = [
     "Core",
     "CoreConfig",
     "CoreStats",
-    "DmaConfig",
-    "DmaEngine",
     "MshrEntry",
     "MshrFile",
-    "OutstandingRequestTable",
     "SetAssociativeCache",
     "Trace",
     "TraceEntry",

@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 from repro.api.spec import load_spec
 from repro.service.quotas import QuotaPolicy
 from repro.service.server import ExperimentService, make_server
+from repro.sim.config import SIMULATION_ENGINES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,8 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     execution.add_argument("--jobs", type=int, default=None,
                            help="local worker processes per session")
     execution.add_argument("--engine", default=None,
-                           help="pin the simulation engine "
-                                "(fast/cycle/batch)")
+                           choices=SIMULATION_ENGINES,
+                           help="pin the simulation engine (default: each "
+                                "spec's engine, else REPRO_ENGINE, else "
+                                "fast)")
     execution.add_argument("--cache-dir", default=None,
                            help="persistent run-cache root")
     execution.add_argument("--backend", default=None,

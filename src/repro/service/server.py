@@ -175,8 +175,14 @@ class ExperimentService:
                  max_sessions: Optional[int] = None,
                  policy: Optional[QuotaPolicy] = None,
                  clock=time.monotonic) -> None:
-        self._execution = dict(jobs=jobs, engine=engine, cache_dir=cache_dir,
-                               backend=backend, workers=workers)
+        # Resolved once, so a bad engine, backend or worker count fails
+        # here instead of inside the first POST /v1/specs handler.  An
+        # explicit ``engine`` pins every session; otherwise each spec's
+        # own engine wins over the environment's (``_plan.engine``).
+        self._plan = resolve_execution(jobs=jobs, cache_dir=cache_dir,
+                                       engine=engine, backend=backend)
+        self._engine = engine
+        self._workers = workers
         self._broker = broker
         self._broker_granted = False
         ttl = ttl if ttl is not None else _env_positive_float(
@@ -221,12 +227,9 @@ class ExperimentService:
     def register_spec(self, spec: ExperimentSpec) -> Tuple[str, bool]:
         """Host a session for ``spec``; idempotent per fingerprint."""
 
-        execution = self._execution
-        plan = resolve_execution(spec, jobs=execution["jobs"],
-                                 cache_dir=execution["cache_dir"],
-                                 engine=execution["engine"],
-                                 backend=execution["backend"])
-        spec_key = spec.resolved(plan.engine).fingerprint()
+        plan = self._plan
+        engine = self._engine or spec.engine or plan.engine
+        spec_key = spec.resolved(engine).fingerprint()
         with self._sessions_lock:
             if self._closed:
                 raise ApiError(503, "service is shutting down")
@@ -244,12 +247,13 @@ class ExperimentService:
             if not self._broker_granted:
                 broker = self._broker
                 self._broker_granted = True
-            session = Session(spec, jobs=execution["jobs"],
-                              cache_dir=execution["cache_dir"],
-                              engine=execution["engine"],
-                              backend=execution["backend"],
+            # "" keeps a cache the plan disabled disabled.
+            session = Session(spec, jobs=plan.jobs,
+                              cache_dir=plan.cache_dir or "",
+                              engine=engine,
+                              backend=plan.backend,
                               broker=broker,
-                              workers=execution["workers"])
+                              workers=self._workers)
             entry = _SessionEntry(
                 session=session,
                 # Predictions share the cluster scheduler's learned-cost

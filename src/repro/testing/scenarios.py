@@ -13,9 +13,9 @@ and any whole campaign — can be replayed exactly.
 Mechanism coverage is guaranteed, not hoped for: scenario ``i`` of a batch
 uses mechanism ``FUZZ_MECHANISMS[i % len]``, so any batch of at least ten
 scenarios exercises every registered mitigation (the paper's eight paired
-mechanisms plus ``none`` and BlockHammer).  The attacker geometry, the
-FR-FCFS+Cap cap and the checked engines rotate by index the same way; the
-remaining dimensions are sampled randomly.
+mechanisms plus ``none`` and BlockHammer).  The attacker geometry and the
+FR-FCFS+Cap cap rotate by index the same way; the remaining dimensions are
+sampled randomly.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.workloads.mixes import ATTACKER_LETTERS, WorkloadMix, make_mix
 FUZZ_MECHANISMS: Tuple[str, ...] = (*PAIRED_MECHANISMS, "none", "blockhammer")
 
 #: Attacker letters the sampler rotates through by scenario index (like
-#: mechanisms and ``check_engines`` — never an RNG draw, so adding
+#: mechanisms — never an RNG draw, so adding
 #: geometries cannot perturb how other dimensions sample): ``A`` is the
 #: paper's double-sided attacker, ``S`` many-sided, ``X`` half-double.
 ATTACK_LETTER_ROTATION: Tuple[str, ...] = tuple(ATTACKER_LETTERS)
@@ -44,10 +44,9 @@ ATTACK_LETTER_ROTATION: Tuple[str, ...] = tuple(ATTACKER_LETTERS)
 #: FR-FCFS+Cap caps the sampler rotates through by scenario index (like
 #: attacker letters: never an RNG draw, so the other dimensions sample as
 #: before).  Cap 1 and 2 reach the capped-hit branch of the scheduler far
-#: more often than the paper's 4.  The attacker letter and the checked
-#: engine both step with ``index % 3``, so the cap steps with
-#: ``index // 3``: every attacker/engine pair meets every cap within nine
-#: consecutive scenarios.
+#: more often than the paper's 4.  The attacker letter steps with
+#: ``index % 3``, so the cap steps with ``index // 3``: every attacker
+#: letter meets every cap within nine consecutive scenarios.
 SCHEDULER_CAP_ROTATION: Tuple[int, ...] = (4, 1, 2)
 
 #: Seed of the fixed pytest corpora (``-m fuzz_smoke``); never change it
@@ -83,12 +82,6 @@ class Scenario:
     #: point is replayed once per seed of :attr:`seeds`), pinning the
     #: statistical seed axis through every execution backend.
     extra_seeds: Tuple[int, ...] = ()
-    #: Engines diffed against the ``cycle`` reference by
-    #: :func:`repro.testing.fuzz.run_differential`.  The sampler rotates
-    #: ``("batch",)`` in (like mechanisms: by index, so rotation never
-    #: perturbs the other dimensions' draws), keeping the tri-engine
-    #: contract generatively enforced at unchanged campaign cost.
-    check_engines: Tuple[str, ...] = ("fast",)
 
     @property
     def seeds(self) -> Tuple[int, ...]:
@@ -117,8 +110,6 @@ class Scenario:
         )
         if self.extra_seeds:
             extras.append("ms" + "".join(str(s) for s in self.extra_seeds))
-        if self.check_engines != ("fast",):
-            extras.append("e" + "".join(e[0] for e in self.check_engines))
         suffix = ("-" + "-".join(extras)) if extras else ""
         return (f"s{self.seed}-{self.mix}-{self.mechanism}"
                 f"-nrh{self.nrh}{suffix}")
@@ -282,11 +273,6 @@ def _sample_scenario(rng: random.Random, index: int,
         time_compression=rng.choice((4.0, 4.0, 2.0)),
         mitigation_kwargs=_sample_mitigation_kwargs(rng, mechanism),
         extra_seeds=_sample_extra_seeds(index, seed, sim_cycles),
-        # Index rotation (not an RNG draw): every third scenario checks the
-        # batch engine against the cycle reference instead of the fast one.
-        # cycle ≡ fast stays pinned by the other two thirds, so all three
-        # engines are generatively covered at two runs per scenario.
-        check_engines=("batch",) if index % 3 == 2 else ("fast",),
     )
 
 
@@ -311,79 +297,48 @@ def fuzz_corpus(count: int = 44) -> List[Scenario]:
     smallest count at which the fixed seed reaches all three.  The fixed
     :func:`cluster_corpus` scenarios ride along, so the engine contract
     also covers every grid point the cluster-backend differential replays,
-    and :func:`batch_corpus` pins the tri-engine contract on fixed
-    scenarios (the sampler's index rotation covers it generatively).
+    and so do the :func:`pinned_corpus` scenarios.
     """
 
     return (generate_scenarios(CORPUS_SEED, count, FuzzProfile.smoke())
-            + cluster_corpus() + batch_corpus() + _capped_attack_corpus())
+            + cluster_corpus() + pinned_corpus())
 
 
-def _capped_attack_corpus() -> List[Scenario]:
-    """Cap 1 on double-sided (``A``) attack mixes.
+def pinned_corpus() -> List[Scenario]:
+    """Fixed scenarios the sampled corpus cannot be relied on to draw.
 
-    Pinned regardless of what the sampled corpus draws: the tightest cap
-    under the paper's attacker, with the batch engine's kernel (which
-    models the cap) diffed as well.
+    Pinned regardless of what the sampler produces: warmup boundaries and
+    instruction limits on attack mixes, BreakHammer, PRAC with
+    ``mitigation_kwargs``, the plain ``frfcfs`` scheduler, the gating
+    ``blockhammer`` mechanism, a single-rank geometry, multi-seed
+    scenarios, and cap 1 — the tightest FR-FCFS+Cap cap — under the
+    paper's double-sided (``A``) attacker.
     """
 
     shape = dict(sim_cycles=1_200, entries_per_core=600,
-                 attacker_entries=800, scheduler_cap=1)
-    return [
-        Scenario(seed=1, mix="HMAA", mechanism="graphene", nrh=64,
-                 breakhammer=True, check_engines=("fast", "batch"), **shape),
-        Scenario(seed=2, mix="MMLA", mechanism="para", nrh=256,
-                 breakhammer=False, **shape),
-    ]
-
-
-def batch_corpus() -> List[Scenario]:
-    """Fixed scenarios pinning ``cycle ≡ fast ≡ batch`` on every lane kind.
-
-    Each checks both non-reference engines against the cycle reference
-    (``check_engines=("fast", "batch")``), covering the batch kernel's
-    vectorised-scan lanes *and* its scalar fallbacks: warmup boundaries
-    and instruction limits (lockstep stop conditions), BreakHammer,
-    mechanism internals, a non-default scheduler and a gating mechanism
-    (kernel-ineligible lanes), and a single-rank geometry.  The
-    multi-seed scenarios double as the batched-vs-solo corpus
-    (:func:`repro.testing.fuzz.batch_differential` expands their seed
-    axis into lanes of one lockstep batch).
-    """
-
-    both = ("fast", "batch")
+                 attacker_entries=800)
+    capped = dict(shape, scheduler_cap=1)
     return [
         Scenario(seed=0, mix="MMLA", mechanism="graphene", nrh=64,
-                 breakhammer=True, sim_cycles=1_200, entries_per_core=600,
-                 attacker_entries=800, check_engines=both),
+                 breakhammer=True, **shape),
         Scenario(seed=1, mix="HHMA", mechanism="para", nrh=256,
-                 breakhammer=False, sim_cycles=1_200, warmup_cycles=400,
-                 entries_per_core=600, attacker_entries=800,
-                 check_engines=both),
+                 breakhammer=False, warmup_cycles=400, **shape),
         Scenario(seed=2, mix="HMLA", mechanism="prac", nrh=16,
                  breakhammer=True, sim_cycles=1_600, instruction_limit=500,
                  entries_per_core=600, attacker_entries=800,
-                 mitigation_kwargs=(("rfm_per_backoff", 2),),
-                 check_engines=both),
-        # Kernel-ineligible lanes: non-default scheduler / gating mechanism
-        # run the ordinary scalar scan inside the lockstep loop.
+                 mitigation_kwargs=(("rfm_per_backoff", 2),)),
         Scenario(seed=0, mix="MMDA", mechanism="hydra", nrh=64,
-                 breakhammer=False, sim_cycles=1_200, scheduler="frfcfs",
-                 entries_per_core=600, attacker_entries=800,
-                 check_engines=both),
+                 breakhammer=False, scheduler="frfcfs", **shape),
         Scenario(seed=3, mix="HLA", mechanism="blockhammer", nrh=64,
-                 breakhammer=False, sim_cycles=1_200, ranks=1,
-                 entries_per_core=600, attacker_entries=800,
-                 check_engines=both),
-        # Multi-seed: expanded into lanes by the batched-vs-solo check.
+                 breakhammer=False, ranks=1, **shape),
         Scenario(seed=0, mix="MMLA", mechanism="rfm", nrh=128,
-                 breakhammer=True, sim_cycles=1_200, entries_per_core=600,
-                 attacker_entries=800, extra_seeds=(1, 2),
-                 check_engines=both),
+                 breakhammer=True, extra_seeds=(1, 2), **shape),
         Scenario(seed=0, mix="HHMA", mechanism="graphene", nrh=128,
-                 breakhammer=False, sim_cycles=1_200, entries_per_core=600,
-                 attacker_entries=800, extra_seeds=(1,),
-                 check_engines=both),
+                 breakhammer=False, extra_seeds=(1,), **shape),
+        Scenario(seed=1, mix="HMAA", mechanism="graphene", nrh=64,
+                 breakhammer=True, **capped),
+        Scenario(seed=2, mix="MMLA", mechanism="para", nrh=256,
+                 breakhammer=False, **capped),
     ]
 
 

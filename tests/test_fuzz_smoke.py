@@ -1,15 +1,13 @@
 """Fixed-seed differential-fuzz corpus (``pytest -m fuzz_smoke``).
 
-The corpus replayed here is ``repro.testing.scenarios.fuzz_corpus()`` — 30
-deterministic scenarios spanning every registered mitigation mechanism,
+The corpus replayed here is ``repro.testing.scenarios.fuzz_corpus()`` — 60
+deterministic scenarios (sampled, cluster-shaped and hand-pinned) spanning every registered mitigation mechanism,
 single- to four-core mixes with attacker and DMA-style traffic, both rank
 geometries, every scheduler policy, and warmup / instruction-limit
 combinations.  Each scenario must produce bit-identical results under the
-``cycle`` reference and every engine of its ``check_engines`` tuple (the
-sampler rotates ``batch`` in; the fixed ``batch_corpus`` checks both
-``fast`` and ``batch``); a harness-shaped batch must additionally be
-bit-identical under serial and process-pool (``jobs=2``) sweep execution,
-and lockstep-batched runs must match solo runs lane for lane.
+``cycle`` reference and the ``fast`` engine; a harness-shaped batch must
+additionally be bit-identical under serial and process-pool (``jobs=2``)
+sweep execution.
 
 A failure prints a minimised, paste-able reproduction (see
 ``repro.testing.fuzz.shrink``); long offline campaigns run through
@@ -24,7 +22,6 @@ import pytest
 
 from repro.mitigations.registry import PAIRED_MECHANISMS
 from repro.testing.fuzz import (
-    batch_differential,
     executor_differential,
     repro_snippet,
     run_differential,
@@ -33,10 +30,10 @@ from repro.testing.fuzz import (
 from repro.testing.scenarios import (
     FUZZ_MECHANISMS,
     Scenario,
-    batch_corpus,
     executor_corpus,
     fuzz_corpus,
     generate_scenarios,
+    pinned_corpus,
     simplifications,
 )
 
@@ -86,29 +83,25 @@ class TestCorpusShape:
         """The capped-hit branch is diffed across engines, sampled and fixed."""
 
         assert {s.scheduler_cap for s in CORPUS} == {1, 2, 4}
-        capped = [s for s in CORPUS if s.scheduler_cap == 1 and "A" in s.mix]
-        assert capped
-        assert any("batch" in s.check_engines for s in capped)
+        assert any(s.scheduler_cap == 1 and "A" in s.mix
+                   for s in pinned_corpus())
         # The harness grid cannot express a cap, so capped scenarios stay
         # out of the executor differential.
         assert not any(s.harness_shaped() for s in CORPUS
                        if s.scheduler_cap != 4)
 
-    def test_engine_rotation_coverage(self):
-        """The tri-engine contract is enforced, sampled and fixed alike."""
+    def test_pinned_corpus_coverage(self):
+        """The fixed scenarios ride in the corpus and span what they pin."""
 
-        engines = {s.check_engines for s in CORPUS}
-        # Sampler rotation: every third sampled scenario checks batch.
-        assert ("batch",) in engines and ("fast",) in engines
-        # The fixed batch corpus checks both engines per scenario and
-        # spans scalar-fallback lanes and the multi-seed axis.
-        batch = batch_corpus()
-        assert all(s.check_engines == ("fast", "batch") for s in batch)
-        assert any(s.scheduler != "frfcfs_cap" for s in batch)
-        assert any(s.mechanism == "blockhammer" for s in batch)
-        assert any(s.extra_seeds for s in batch)
-        assert any(s.warmup_cycles for s in batch)
-        assert any(s.instruction_limit for s in batch)
+        pinned = pinned_corpus()
+        assert all(s in CORPUS for s in pinned)
+        assert any(s.scheduler != "frfcfs_cap" for s in pinned)
+        assert any(s.mechanism == "blockhammer" for s in pinned)
+        assert any(s.ranks == 1 for s in pinned)
+        assert any(s.extra_seeds for s in pinned)
+        assert any(s.warmup_cycles for s in pinned)
+        assert any(s.instruction_limit for s in pinned)
+        assert any(s.mitigation_kwargs for s in pinned)
 
 
 def corpus_id(scenario: Scenario) -> str:
@@ -128,17 +121,6 @@ def corpus_id(scenario: Scenario) -> str:
 def test_engines_bit_identical(scenario):
     report = run_differential(scenario)
     assert report.identical, report.summary()
-
-
-def test_batched_vs_solo_bit_identical():
-    """One heterogeneous lockstep batch must match solo runs lane for lane.
-
-    The corpus expands its multi-seed scenarios into extra lanes, so this
-    also pins the seed axis under batching — the shape the sweep layer's
-    batch admission produces.
-    """
-
-    assert batch_differential(batch_corpus()) == []
 
 
 def test_serial_vs_process_pool_bit_identical():

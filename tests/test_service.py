@@ -38,6 +38,7 @@ from repro.service.quotas import (
     MAX_OUTSTANDING_ENV,
     RATE_ENV,
 )
+from repro.sim.config import ENGINE_ENV
 
 TINY = {"profile": "tiny"}
 
@@ -336,6 +337,20 @@ class TestExperimentService:
             with pytest.raises(ApiError) as unknown:
                 service.figure(fingerprint, "fig99", "alice")
             assert unknown.value.status == 400
+
+    def test_invalid_engine_fails_at_start(self, monkeypatch):
+        """A bad engine is rejected when the service starts, not per request.
+
+        Resolved per request, the error is raised inside the handler
+        thread and every client sees a dropped connection instead of an
+        error response.
+        """
+
+        with pytest.raises(ValueError, match="batch"):
+            start_service(engine="batch", cache_dir="")
+        monkeypatch.setenv(ENGINE_ENV, "batch")
+        with pytest.raises(ValueError, match=ENGINE_ENV):
+            start_service(cache_dir="")
 
     def test_predicted_cost_is_positive_for_plans(self):
         with ExperimentService(cache_dir="") as service:

@@ -2,8 +2,8 @@
 
 This package is the engine room; the stable public surface is
 :mod:`repro.api` (declarative :class:`~repro.api.ExperimentSpec` +
-futures-based :class:`~repro.api.Session`).  ``ExperimentRunner`` /
-``HarnessConfig`` remain as deprecation shims over the same engine.
+futures-based :class:`~repro.api.Session`).  ``ExperimentRunner`` is the
+runner a session builds from its resolved spec and execution plan.
 """
 
 from repro.analysis.executor import (
@@ -16,12 +16,7 @@ from repro.analysis.executor import (
     iter_completed,
     resolve_jobs,
 )
-from repro.analysis.experiments import (
-    FIGURES,
-    TABLES,
-    ExperimentRunner,
-    HarnessConfig,
-)
+from repro.analysis.experiments import FIGURES, TABLES, ExperimentRunner
 from repro.analysis.runcache import RunCache
 from repro.analysis.figures import (
     ComparisonEntry,
@@ -42,7 +37,6 @@ __all__ = [
     "FIGURES",
     "FigureData",
     "FigureSeries",
-    "HarnessConfig",
     "ProcessPoolSweepExecutor",
     "RunCache",
     "RunHandle",

@@ -10,32 +10,25 @@ executed:
 * :class:`ProcessPoolSweepExecutor` — shards tasks across a
   ``concurrent.futures.ProcessPoolExecutor``.  Each worker process builds
   its own :class:`~repro.analysis.experiments.ExperimentRunner` from the
-  pickled :class:`~repro.analysis.experiments.HarnessConfig` and
-  **regenerates traces deterministically from (config, seed)** — traces are
+  pickled spec and a worker-side copy of the execution plan, and
+  **regenerates traces deterministically from (spec, seed)** — traces are
   never shipped by value.  Only the picklable
   :class:`~repro.sim.stats.RunStatistics` results travel back.
 
-Two dispatch styles share the backends:
-
-* :meth:`SweepExecutor.execute` — the legacy batch barrier: every task
-  completes before the call returns, in task order;
-* :meth:`SweepExecutor.submit` — the futures path behind
-  :class:`repro.api.Session`: each task returns a future immediately, so
-  callers can overlap aggregation with execution and consume results in
-  completion order.  On the serial backend the future is lazy (the task
-  runs when its result is first demanded), preserving the reference
-  serial execution order.
+Every backend has one dispatch style, :meth:`SweepExecutor.submit`: each
+task returns a future immediately, so :class:`repro.api.Session` overlaps
+aggregation with execution and consumes results in completion order.  On
+the serial backend the future is lazy (the task runs when its result is
+first demanded), preserving the reference serial execution order.
 
 Simulations are deterministic functions of their configuration, so a
-parallel sweep produces results bit-identical to a serial one, and the
-futures path bit-identical to the batch path
+parallel sweep produces results bit-identical to a serial one
 (``tests/test_sweep_executor.py`` / ``tests/test_api_session.py`` pin
-these contracts).
+this).
 
-Worker count selection: ``HarnessConfig.jobs`` when positive, else the
-``REPRO_JOBS`` environment variable, else 1 (serial); the one documented
-resolution point for every execution knob is
-:func:`repro.api.session.resolve_execution`.
+The worker count and backend come from the session's resolved
+:class:`repro.api.ExecutionPlan`; the one resolution point for every
+execution knob is :func:`repro.api.session.resolve_execution`.
 """
 
 from __future__ import annotations
@@ -104,8 +97,8 @@ class SweepPlan:
     included) is executed once per seed, and the figure aggregation folds
     the per-seed frames into mean ± CI cells
     (:mod:`repro.analysis.aggregate`).  Plans are what
-    :class:`repro.api.Session` submits as futures and what the legacy
-    batch ``prefetch`` executes behind each ``figureN`` method.
+    :class:`repro.api.Session` submits as futures before it folds them
+    (:meth:`repro.analysis.experiments.ExperimentRunner.fold`).
     """
 
     figure_id: str
@@ -294,12 +287,9 @@ def resolve_jobs(requested: int = 0) -> int:
 
 
 class SweepExecutor:
-    """Executes a batch of :class:`RunTask`, preserving task order."""
+    """Dispatches :class:`RunTask` units of sweep work as futures."""
 
     jobs: int = 1
-
-    def execute(self, tasks: Sequence[RunTask]) -> List[object]:
-        raise NotImplementedError
 
     def submit(self, task: RunTask):
         """Dispatch one task, returning a future-like object.
@@ -322,27 +312,24 @@ class SerialSweepExecutor(SweepExecutor):
     def __init__(self, runner) -> None:
         self._runner = runner
 
-    def execute(self, tasks: Sequence[RunTask]) -> List[object]:
-        return [evaluate_task(self._runner, task) for task in tasks]
-
     def submit(self, task: RunTask) -> _LazyFuture:
         return _LazyFuture(lambda: evaluate_task(self._runner, task))
 
 
 # ---------------------------------------------------------------------- #
 # Worker-process side.  The initializer builds one ExperimentRunner per
-# process from the pickled harness config; mixes and standalone baselines
-# are memoised per worker, so a worker that receives several grid points of
-# the same mix regenerates its traces only once.
+# process from the pickled spec and execution plan; mixes and standalone
+# baselines are memoised per worker, so a worker that receives several grid
+# points of the same mix regenerates its traces only once.
 # ---------------------------------------------------------------------- #
 _WORKER_RUNNER = None
 
 
-def _worker_init(harness_config) -> None:
+def _worker_init(spec, execution) -> None:
     global _WORKER_RUNNER
     from repro.analysis.experiments import ExperimentRunner
 
-    _WORKER_RUNNER = ExperimentRunner(harness_config, _api_owned=True)
+    _WORKER_RUNNER = ExperimentRunner(spec, execution)
 
 
 def _worker_execute(task: RunTask):
@@ -352,17 +339,17 @@ def _worker_execute(task: RunTask):
 
 
 class ProcessPoolSweepExecutor(SweepExecutor):
-    """Shards tasks across worker processes; results return in task order."""
+    """Shards tasks across worker processes, one future per task."""
 
-    def __init__(self, harness_config, jobs: int) -> None:
-        if jobs < 2:
+    def __init__(self, spec, execution) -> None:
+        if execution.jobs < 2:
             raise ValueError("a process pool needs at least two workers")
+        self._spec = spec
         # Workers run strictly serially (jobs=1) on the local backend: no
-        # nested pools, and no worker hosting a cluster broker because the
-        # parent environment exports REPRO_BACKEND=cluster.
-        self._worker_config = dataclasses.replace(harness_config, jobs=1,
-                                                  backend="local")
-        self.jobs = jobs
+        # nested pools, and no worker hosting a cluster broker.
+        self._worker_execution = dataclasses.replace(execution, jobs=1,
+                                                     backend="local")
+        self.jobs = execution.jobs
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -370,17 +357,9 @@ class ProcessPoolSweepExecutor(SweepExecutor):
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_worker_init,
-                initargs=(self._worker_config,),
+                initargs=(self._spec, self._worker_execution),
             )
         return self._pool
-
-    def execute(self, tasks: Sequence[RunTask]) -> List[object]:
-        if not tasks:
-            return []
-        pool = self._ensure_pool()
-        # chunksize=1: grid points cost seconds each, so fine-grained
-        # dispatch load-balances better than chunking.
-        return list(pool.map(_worker_execute, tasks, chunksize=1))
 
     def submit(self, task: RunTask):
         return self._ensure_pool().submit(_worker_execute, task)
@@ -392,25 +371,18 @@ class ProcessPoolSweepExecutor(SweepExecutor):
 
 
 def make_executor(runner) -> SweepExecutor:
-    """Build the executor selected by ``runner.config`` / the environment.
+    """Build the executor ``runner.execution`` (a resolved plan) selects.
 
-    ``backend`` (config field, else ``$REPRO_BACKEND``) picks the fabric:
-    ``"cluster"`` hosts a :class:`repro.cluster.ClusterExecutor` broker;
-    ``"local"`` picks serial vs process pool by ``jobs``/``$REPRO_JOBS``.
+    ``backend="cluster"`` hosts a :class:`repro.cluster.ClusterExecutor`
+    broker; ``"local"`` picks serial vs process pool by ``jobs``.
     """
 
-    config = runner.config
-    backend = resolve_backend(getattr(config, "backend", None))
-    if backend == "cluster":
+    execution = runner.execution
+    if execution.backend == "cluster":
         from repro.cluster.executor import ClusterExecutor
 
-        return ClusterExecutor(
-            config,
-            broker=getattr(config, "broker", None),
-            workers=getattr(config, "cluster_workers", 0),
-            cache=runner.disk_cache,
-        )
-    jobs = resolve_jobs(getattr(config, "jobs", 0))
-    if jobs <= 1:
+        return ClusterExecutor(runner.config, execution,
+                               cache=runner.disk_cache)
+    if execution.jobs <= 1:
         return SerialSweepExecutor(runner)
-    return ProcessPoolSweepExecutor(config, jobs)
+    return ProcessPoolSweepExecutor(runner.config, execution)

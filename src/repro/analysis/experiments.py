@@ -1,22 +1,18 @@
-"""Experiment harness: one entry point per paper figure/table.
+"""Experiment harness: the runner behind every paper figure and table.
 
-:class:`ExperimentRunner` owns a simulation-scale profile (cycles per run,
-workload sizes, the N_RH sweep), memoises simulation runs and standalone-IPC
-baselines, and exposes ``figure2()`` … ``figure19()``, ``table1()`` …
-``table3()`` and ``hardware_complexity()`` methods that return
-:class:`repro.analysis.figures.FigureData` / ``TableData`` objects shaped
-like the paper's artefacts.
-
-.. deprecated::
-    ``ExperimentRunner`` / ``HarnessConfig`` are the **legacy facade**.
-    New code should describe sweeps with :class:`repro.api.ExperimentSpec`
-    and execute them through :class:`repro.api.Session`, which adds
-    futures-based streaming aggregation and owns executor + cache
-    lifecycle (see ROADMAP.md "Running sweeps" for the timeline).  Both
-    classes remain fully functional shims: the runner is the engine the
-    session drives, every ``figureN`` grid is now declared once as a
-    :class:`~repro.analysis.executor.SweepPlan` shared by both paths, and
-    results are bit-identical whichever entry point computed them.
+:class:`ExperimentRunner` is built from a resolved
+:class:`repro.api.ExperimentSpec` (*what* to compute) and a
+:class:`repro.api.ExecutionPlan` (*how*: executor, run cache, trace
+spool, workload catalog).  It memoises simulation runs and
+standalone-IPC baselines and defines every figure once, in
+:data:`FIGURES`: a *plan builder* declares the figure's run grid as a
+:class:`~repro.analysis.executor.SweepPlan`, and a *frame builder*
+aggregates one seed's frame of the figure from warm caches.
+:meth:`ExperimentRunner.fold` folds the per-seed frames into the
+published figure (mean ± CI cells for multi-seed specs), and the
+headline numbers the same way.  :class:`repro.api.Session` drives it:
+submit a plan, consume its handles, fold.  Tables have no sweep and are
+built directly (:data:`TABLES`).
 
 Scale
 -----
@@ -29,10 +25,16 @@ EXPERIMENTS.md for the paper-vs-measured record.
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.aggregate import aggregate_figures, aggregate_headlines
 from repro.analysis.executor import (
@@ -51,17 +53,10 @@ from repro.analysis.runcache import RunCache
 from repro.core.hardware_model import HardwareCostModel
 from repro.core.security import SecurityAnalysis
 from repro.cpu.trace import Trace
-from repro.mitigations.registry import (
-    MOTIVATION_MECHANISMS,
-    PAIRED_MECHANISMS,
-)
-from repro.sim.config import (
-    SimulationConfig,
-    SystemConfig,
-    config_fingerprint,
-)
+from repro.mitigations.registry import MOTIVATION_MECHANISMS
+from repro.sim.config import SystemConfig
 from repro.sim.metrics import geometric_mean, max_slowdown, weighted_speedup
-from repro.sim.simulator import SimulationResult, Simulator
+from repro.sim.simulator import Simulator
 from repro.sim.stats import RunStatistics
 from repro.workloads.attacker import AttackerConfig
 from repro.workloads.characteristics import (
@@ -69,228 +64,21 @@ from repro.workloads.characteristics import (
     average_row,
     characterize_suite,
 )
-from repro.workloads.mixes import (
-    ATTACK_MIXES,
-    BENIGN_MIXES,
-    WorkloadMix,
-    make_mix,
-)
+from repro.workloads.mixes import WorkloadMix, make_mix
 
+if TYPE_CHECKING:  # repro.api imports this module; no runtime cycle
+    from repro.api.session import ExecutionPlan
+    from repro.api.spec import ExperimentSpec
 
-@dataclass(frozen=True)
-class HarnessConfig:
-    """Scale knobs of the experiment harness.
-
-    ``engine`` selects the simulation driver for every run the harness
-    executes (see :class:`repro.sim.config.SimulationConfig`).  The figure
-    sweeps default to the event-driven ``"fast"`` engine — it produces
-    statistics identical to the ``"cycle"`` engine while skipping the
-    cycles in which nothing can happen, which multiplies sweep throughput.
-
-    ``jobs`` selects the sweep execution backend: values above 1 shard the
-    run grid across that many worker processes; 0 (the default) defers to
-    the ``REPRO_JOBS`` environment variable, falling back to serial.
-    Parallel sweeps produce results bit-identical to serial ones.
-
-    ``cache_dir`` points the persistent on-disk run cache at a directory:
-    ``None`` (default) defers to ``REPRO_CACHE_DIR``, an empty string
-    force-disables the cache even when that variable is exported, and
-    when neither names a directory the disk cache is off.
-
-    ``backend`` selects the sweep execution fabric: ``"local"`` (serial or
-    process pool, per ``jobs``), ``"cluster"`` (socket broker + workers,
-    see :mod:`repro.cluster`), or ``None`` to defer to ``REPRO_BACKEND``.
-    ``broker`` is the cluster listen address (``host:port`` /
-    ``unix:/path``), ``cluster_workers`` auto-spawns that many co-located
-    worker processes, and ``spool_dir`` names a columnar trace spool
-    workers mmap instead of regenerating (see
-    :mod:`repro.workloads.spool`).  None of these execution knobs affects
-    simulation *results*, so all are excluded from the cache fingerprint.
-
-    ``workload_dir`` roots the ingested-workload catalog for ``ingest:``
-    mixes (``None`` defers to ``REPRO_WORKLOAD_DIR``).  The *directory*
-    is an execution knob and is normalised out like the others — but the
-    catalogued trace **digests** the mixes resolve to are result-affecting
-    and fold into :func:`harness_fingerprint`, so re-ingested content
-    lands in a fresh cache namespace wherever the catalog lives.
-    """
-
-    sim_cycles: int = 25_000
-    entries_per_core: int = 8_000
-    attacker_entries: int = 12_000
-    nrh_default: int = 1024
-    nrh_low: int = 64
-    nrh_sweep: Tuple[int, ...] = (4096, 2048, 1024, 512, 256, 128, 64)
-    attack_mixes: Tuple[str, ...] = tuple(ATTACK_MIXES)
-    benign_mixes: Tuple[str, ...] = tuple(BENIGN_MIXES)
-    mechanisms: Tuple[str, ...] = tuple(PAIRED_MECHANISMS)
-    seeds: Tuple[int, ...] = (0,)
-    threat_threshold: float = 4.0
-    outlier_threshold: float = 0.65
-    engine: str = "fast"
-    jobs: int = 0
-    cache_dir: Optional[str] = None
-    backend: Optional[str] = None
-    broker: Optional[str] = None
-    cluster_workers: int = 0
-    spool_dir: Optional[str] = None
-    workload_dir: Optional[str] = None
-
-    def simulation_config(self) -> SimulationConfig:
-        """The per-run simulation bounds this harness profile implies."""
-
-        return SimulationConfig(max_cycles=self.sim_cycles, engine=self.engine)
-
-    def result_fingerprint(self) -> str:
-        """Digest of every field that can affect simulation results.
-
-        Execution knobs (``jobs``, ``cache_dir``, ``backend``/``broker``/
-        ``cluster_workers``, ``spool_dir``) are normalised out: a sweep
-        must hit the same disk-cache namespace no matter how — or where —
-        it is executed.
-        """
-
-        return config_fingerprint(
-            dataclasses.replace(self, jobs=0, cache_dir=None, backend=None,
-                                broker=None, cluster_workers=0,
-                                spool_dir=None, workload_dir=None)
-        )
-
-    @classmethod
-    def fast(cls) -> "HarnessConfig":
-        """A profile small enough for CI and the pytest benchmarks."""
-
-        return cls(
-            sim_cycles=12_000,
-            entries_per_core=4_000,
-            attacker_entries=6_000,
-            nrh_sweep=(4096, 1024, 256, 64),
-            attack_mixes=("HHMA", "MMLA"),
-            benign_mixes=("HHMM", "MMLL"),
-            mechanisms=tuple(PAIRED_MECHANISMS),
-            seeds=(0,),
-        )
-
-    @classmethod
-    def smoke(cls) -> "HarnessConfig":
-        """The smallest useful profile (unit/integration tests)."""
-
-        return cls(
-            sim_cycles=6_000,
-            entries_per_core=2_000,
-            attacker_entries=3_000,
-            nrh_sweep=(1024, 64),
-            attack_mixes=("MMLA",),
-            benign_mixes=("MMLL",),
-            mechanisms=("para", "graphene", "rfm"),
-            seeds=(0,),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Bridge to the declarative repro.api surface.
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_spec(cls, spec, jobs: int = 0,
-                  cache_dir: Optional[str] = None,
-                  backend: Optional[str] = None,
-                  broker: Optional[str] = None,
-                  cluster_workers: int = 0,
-                  spool_dir: Optional[str] = None,
-                  workload_dir: Optional[str] = None) -> "HarnessConfig":
-        """The harness profile an :class:`repro.api.ExperimentSpec` implies.
-
-        The spec must carry a resolved engine (sessions resolve it through
-        ``repro.api.session.resolve_execution`` before building runners).
-        """
-
-        if spec.engine is None:
-            raise ValueError(
-                "spec.engine is unresolved; resolve it (Session does this) "
-                "before building a HarnessConfig"
-            )
-        return cls(
-            sim_cycles=spec.sim_cycles,
-            entries_per_core=spec.entries_per_core,
-            attacker_entries=spec.attacker_entries,
-            nrh_default=spec.nrh_default,
-            nrh_low=spec.nrh_low,
-            nrh_sweep=tuple(spec.nrh_sweep),
-            attack_mixes=tuple(spec.attack_mixes),
-            benign_mixes=tuple(spec.benign_mixes),
-            mechanisms=tuple(spec.mechanisms),
-            seeds=tuple(spec.seeds),
-            threat_threshold=spec.threat_threshold,
-            outlier_threshold=spec.outlier_threshold,
-            engine=spec.engine,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            backend=backend,
-            broker=broker,
-            cluster_workers=cluster_workers,
-            spool_dir=spool_dir,
-            workload_dir=workload_dir,
-        )
-
-    def to_spec(self):
-        """The :class:`repro.api.ExperimentSpec` equivalent of this profile.
-
-        Execution knobs (``jobs``, ``cache_dir``) are dropped: they belong
-        to :class:`repro.api.Session`, not to the result description.
-        """
-
-        from repro.api.spec import ExperimentSpec
-
-        return ExperimentSpec(
-            sim_cycles=self.sim_cycles,
-            entries_per_core=self.entries_per_core,
-            attacker_entries=self.attacker_entries,
-            nrh_default=self.nrh_default,
-            nrh_low=self.nrh_low,
-            nrh_sweep=self.nrh_sweep,
-            attack_mixes=self.attack_mixes,
-            benign_mixes=self.benign_mixes,
-            mechanisms=self.mechanisms,
-            seeds=self.seeds,
-            threat_threshold=self.threat_threshold,
-            outlier_threshold=self.outlier_threshold,
-            engine=self.engine,
-        )
-
-
-#: The grid coordinate of one run: (mix, seed, mechanism, nrh, breakhammer).
-GridPoint = Tuple[str, int, str, int, bool]
 
 #: The full memoisation key: the grid coordinate extended with the trace
 #: generation parameters and simulation bounds, so two distinct
 #: configurations can never alias one cache entry (in memory or on disk).
 RunKey = Tuple[str, int, str, int, bool, int, int, int, str]
 
-#: A (mix_name, mechanism, nrh, breakhammer) request, as the figure methods
-#: hand them to :meth:`ExperimentRunner.prefetch` one seed at a time — the
-#: plan's seed axis multiplies the same request list across its seeds.
+#: A (mix_name, mechanism, nrh, breakhammer) request, as sweep plans list
+#: them — the plan's seed axis multiplies the same list across its seeds.
 RunSpec = Tuple[str, str, int, bool]
-
-#: Every figure/headline artefact with a declarative sweep plan, mapped to
-#: the runner method that aggregates it.  ``repro.api.Session`` and the
-#: ``python -m repro.api run`` CLI drive figures through this registry.
-FIGURES: Dict[str, str] = {
-    "fig2": "figure2",
-    "fig5": "figure5",
-    "fig6": "figure6",
-    "fig7": "figure7",
-    "fig8": "figure8",
-    "fig9": "figure9",
-    "fig10": "figure10",
-    "fig11": "figure11",
-    "fig12": "figure12",
-    "fig13": "figure13",
-    "fig14": "figure14",
-    "fig15": "figure15",
-    "fig16": "figure16",
-    "fig17": "figure17",
-    "fig18": "figure18",
-    "fig19": "figure19",
-}
 
 #: Table artefacts (no sweep plans; aggregation only).
 TABLES: Dict[str, str] = {
@@ -301,123 +89,54 @@ TABLES: Dict[str, str] = {
     "hw": "hardware_complexity",
 }
 
-#: The one deprecation message of the legacy facade (pytest.ini filters it
-#: in tier-1; user code migrates to repro.api per the ROADMAP timeline).
-_DEPRECATION_MESSAGE = (
-    "ExperimentRunner/HarnessConfig are deprecated as a public entry point; "
-    "describe sweeps with repro.api.ExperimentSpec and execute them through "
-    "repro.api.Session (see ROADMAP.md 'Running sweeps')"
-)
-
-
-def catalog_digests(config: HarnessConfig) -> Tuple[Tuple[str, str], ...]:
-    """``(name, trace_digest)`` pairs of the ``ingest:`` mixes of ``config``.
-
-    Empty when no mix addresses the workload catalog.  Raises when mixes
-    do but no catalog is configured (``workload_dir`` /
-    ``REPRO_WORKLOAD_DIR``) — a runner must never fingerprint without the
-    content it will simulate.
-    """
-
-    from repro.workloads.ingest.catalog import (
-        WorkloadCatalog,
-        is_catalog_mix,
-        parse_catalog_mix,
-    )
-
-    names = [parse_catalog_mix(mix)[0]
-             for mix in (*config.attack_mixes, *config.benign_mixes)
-             if is_catalog_mix(mix)]
-    if not names:
-        return ()
-    catalog = WorkloadCatalog.resolve(config.workload_dir)
-    if catalog is None:
-        raise ValueError(
-            "config references ingested workloads but no catalog is "
-            "configured (workload_dir / REPRO_WORKLOAD_DIR)"
-        )
-    return catalog.digests(names)
-
-
-def harness_fingerprint(config: HarnessConfig) -> str:
-    """The cache-namespace fingerprint a harness configuration implies.
-
-    Digests the result-affecting harness fields, the derived base
-    :class:`SystemConfig`, and the per-run :class:`SimulationConfig` —
-    exactly what :class:`ExperimentRunner` computes for its run cache, and
-    what the :mod:`repro.cluster` broker stamps on every unit of work so a
-    worker built from a different spec can never contribute a result.
-
-    When the config's mixes reference ingested workloads, the catalog
-    trace digests fold in too (:func:`catalog_digests`): a re-ingested
-    trace moves the namespace, so stale cache entries are unreachable,
-    and a cluster worker whose catalog holds different content computes a
-    different fingerprint and is refused by the broker.
-    """
-
-    base_system = SystemConfig.fast_profile(
-        sim_cycles=config.sim_cycles,
-        threat_threshold=config.threat_threshold,
-        outlier_threshold=config.outlier_threshold,
-    )
-    digests = catalog_digests(config)
-    if digests:
-        return config_fingerprint(
-            config.result_fingerprint(), base_system,
-            config.simulation_config(), ("workload-catalog", digests),
-        )
-    return config_fingerprint(
-        config.result_fingerprint(), base_system,
-        config.simulation_config(),
-    )
-
 
 class ExperimentRunner:
     """Runs and memoises the simulations behind every figure.
 
     Three cache layers back :meth:`run`:
 
-    1. in-memory memoisation (``_run_cache``), as before;
+    1. in-memory memoisation (``_run_cache``);
     2. an optional persistent on-disk :class:`RunCache`, keyed by the full
-       :data:`RunKey` under a configuration-fingerprint namespace, shared
-       across processes and invocations;
-    3. a pluggable :class:`SweepExecutor` that the figure methods use (via
-       :meth:`prefetch`) to compute the missing portion of their run grid —
-       serially, or sharded across worker processes when
-       ``HarnessConfig.jobs`` / ``REPRO_JOBS`` asks for more than one.
+       :data:`RunKey` under the spec-fingerprint namespace, shared across
+       processes and invocations;
+    3. a pluggable :class:`SweepExecutor` that computes the missing
+       portion of a plan's run grid as futures (:meth:`submit_plan`) —
+       serially, on a process pool, or on the cluster fabric, as
+       ``execution`` selects.
+
+    ``config`` is the resolved spec (its engine pinned) and ``execution``
+    the session's resolved :class:`repro.api.ExecutionPlan`.
     """
 
-    def __init__(self, config: Optional[HarnessConfig] = None, *,
-                 _api_owned: bool = False) -> None:
-        if not _api_owned:
-            # The deprecation clock of the legacy facade (ROADMAP timeline):
-            # internal owners — Session, the sweep/cluster workers — pass
-            # _api_owned, so only *direct* construction warns.
-            warnings.warn(_DEPRECATION_MESSAGE, DeprecationWarning,
-                          stacklevel=2)
-        self.config = config or HarnessConfig()
+    def __init__(self, spec: "ExperimentSpec",
+                 execution: "ExecutionPlan") -> None:
+        if spec.engine is None:
+            raise ValueError(
+                "spec.engine is unresolved; resolve it (Session does this) "
+                "before building a runner"
+            )
+        self.config = spec
+        self.execution = execution
         self._mix_cache: Dict[Tuple[str, int, int, int], WorkloadMix] = {}
         self._run_cache: Dict[RunKey, RunStatistics] = {}
         self._alone_ipc_cache: Dict[Tuple[str, int], float] = {}
-        self._base_system = SystemConfig.fast_profile(
-            sim_cycles=self.config.sim_cycles,
-            threat_threshold=self.config.threat_threshold,
-            outlier_threshold=self.config.outlier_threshold,
-        )
-        self.fingerprint = harness_fingerprint(self.config)
+        self._base_system = spec.base_system()
+        self.fingerprint = spec.fingerprint(execution.workload_dir)
         # The catalog content this runner was fingerprinted against: the
         # mix loader warns if an ingested workload is re-ingested behind
         # a live session (see WorkloadCatalog / catalog_mix).
         self._ingest_digests: Dict[str, str] = dict(
-            catalog_digests(self.config)
+            spec.catalog_digests(execution.workload_dir)
         )
-        self._disk_cache: Optional[RunCache] = RunCache.from_env(
-            self.fingerprint, cache_dir=self.config.cache_dir
+        # The plan is resolved: no cache directory means no cache.
+        self._disk_cache: Optional[RunCache] = (
+            RunCache(execution.cache_dir, self.fingerprint)
+            if execution.cache_dir else None
         )
         self._executor: SweepExecutor = make_executor(self)
         self.runs_executed = 0
-        # In-flight futures of the streaming path, for cross-plan dedup:
-        # one handle per RunKey / per (trace_name, length) alone key.
+        # In-flight futures, for cross-plan dedup: one handle per RunKey /
+        # per (trace_name, length) alone key.
         self._inflight_runs: Dict[RunKey, RunHandle] = {}
         self._inflight_alone: Dict[Tuple[str, int], RunHandle] = {}
 
@@ -438,12 +157,6 @@ class ExperimentRunner:
         """Shut down the sweep executor's worker pool, if any."""
 
         self._executor.close()
-
-    def __enter__(self) -> "ExperimentRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
     # Building blocks
@@ -508,16 +221,16 @@ class ExperimentRunner:
         workload_name = parse_catalog_mix(name)[0]
         return catalog_mix(
             name,
-            directory=self.config.workload_dir,
+            directory=self.execution.workload_dir,
             expected_digest=self._ingest_digests.get(workload_name),
         )
 
     def _spool_mix(self, name: str, seed: int) -> Optional[WorkloadMix]:
-        if not self.config.spool_dir:
+        if not self.execution.spool_dir:
             return None
         from repro.workloads.spool import TraceSpool
 
-        return TraceSpool(self.config.spool_dir).load_mix(
+        return TraceSpool(self.execution.spool_dir).load_mix(
             name, seed,
             entries_per_core=self.config.entries_per_core,
             attacker_entries=self.config.attacker_entries,
@@ -640,76 +353,12 @@ class ExperimentRunner:
         return ipc
 
     # ------------------------------------------------------------------ #
-    # Parallel sweep execution
+    # Sweep execution (futures)
     # ------------------------------------------------------------------ #
-    def prefetch(self, runs: Sequence[RunSpec] = (),
-                 alone_mixes: Sequence[str] = (), seed: int = 0) -> int:
-        """Compute the missing portion of a run grid through the executor.
-
-        ``runs`` lists (mix, mechanism, nrh, breakhammer) grid points and
-        ``alone_mixes`` names mixes whose per-trace standalone-IPC
-        baselines are needed.  Points already memoised (in memory or on
-        disk) are skipped; the rest are executed — in worker processes when
-        a parallel executor is configured — and merged into this runner's
-        caches, so the figure code that follows hits warm caches only.
-        Returns the number of grid points (and baselines) actually
-        executed.
-        """
-
-        tasks: List[RunTask] = []
-        seen_keys = set()
-        for mix_name, mechanism, nrh, breakhammer in runs:
-            key = self.run_key(mix_name, mechanism, nrh, breakhammer, seed)
-            if key in seen_keys or self._cached_stats(key) is not None:
-                continue
-            seen_keys.add(key)
-            tasks.append(RunTask(
-                kind=TASK_RUN, mix_name=mix_name, seed=seed,
-                mechanism=mechanism, nrh=nrh, breakhammer=breakhammer,
-            ))
-        seen_alone = set()
-        for mix_name in dict.fromkeys(alone_mixes):
-            mix = self.mix(mix_name, seed)
-            for index, trace in enumerate(mix.traces):
-                alone_key = (trace.name, len(trace))
-                # Dedup within the batch too: mixes share traces (every
-                # attack mix carries the identical attacker trace).
-                if alone_key in seen_alone \
-                        or self._cached_alone_ipc(trace) is not None:
-                    continue
-                seen_alone.add(alone_key)
-                tasks.append(RunTask(kind=TASK_ALONE, mix_name=mix_name,
-                                     seed=seed, trace_index=index))
-        if not tasks:
-            return 0
-        if isinstance(self._executor, SerialSweepExecutor):
-            # The serial path just runs through the ordinary entry points
-            # (which memoise and count as they go).
-            self._executor.execute(tasks)
-            return len(tasks)
-        results = self._executor.execute(tasks)
-        for task, outcome in zip(tasks, results):
-            if task.kind == TASK_ALONE:
-                alone: AloneResult = outcome
-                self._alone_ipc_cache[
-                    (alone.trace_name, alone.trace_length)
-                ] = alone.ipc
-                continue
-            # Memory only: the worker's own runner shares this cache
-            # configuration and already persisted the entry to disk.
-            key = self.run_key(task.mix_name, task.mechanism, task.nrh,
-                               task.breakhammer, task.seed)
-            self._run_cache[key] = outcome
-            self.runs_executed += 1
-        return len(tasks)
-
-    # ------------------------------------------------------------------ #
-    # Streaming (futures) sweep execution
-    # ------------------------------------------------------------------ #
-    def submit_prefetch(self, runs: Sequence[RunSpec] = (),
-                        alone_mixes: Sequence[str] = (),
-                        seed: int = 0) -> List[RunHandle]:
-        """The futures twin of :meth:`prefetch`.
+    def submit_runs(self, runs: Sequence[RunSpec] = (),
+                    alone_mixes: Sequence[str] = (),
+                    seed: int = 0) -> List[RunHandle]:
+        """Submit grid points and standalone baselines as futures.
 
         Returns one :class:`RunHandle` per *distinct* requested point —
         grid runs first (request order), then the per-trace standalone-IPC
@@ -798,7 +447,7 @@ class ExperimentRunner:
             alone.ipc
 
     def submit_plan(self, plan: SweepPlan) -> List[RunHandle]:
-        """Submit a figure's declarative sweep plan; see :meth:`figure_plan`.
+        """Submit a sweep plan's grid; see :meth:`figure_plan`.
 
         The grid (alone baselines included) is submitted once per seed of
         the plan's seed axis; handles of all seeds share one pool.
@@ -806,45 +455,61 @@ class ExperimentRunner:
 
         handles: List[RunHandle] = []
         for seed in plan.seeds:
-            handles.extend(self.submit_prefetch(
+            handles.extend(self.submit_runs(
                 plan.runs, alone_mixes=plan.alone_mixes, seed=seed
             ))
         return handles
 
     # ------------------------------------------------------------------ #
-    # Declarative figure sweep plans
+    # Declarative figure sweep plans and the fold
     # ------------------------------------------------------------------ #
     def figure_plan(self, figure_id: str, **kwargs) -> SweepPlan:
-        """The declarative sweep plan behind one figure.
+        """The declarative sweep plan behind one figure (see :data:`FIGURES`).
 
-        Each ``figureN`` method executes exactly the plan this returns (the
-        grid is defined once), so a session that streams the plan's
-        handles and then aggregates sees bit-identical results to the
-        legacy batch path.  Figures without a sweep (fig5's analytical
-        bound, fig19's bespoke threshold sweep) return an empty plan.
+        ``kwargs`` narrow the figure (mechanisms, mixes, N_RH, …) exactly
+        as its plan builder accepts them.  fig5 (the analytical bound) and
+        fig19 (the bespoke threshold sweep) return plans without runs:
+        their frame builders compute directly, once (seed 0).
         """
 
-        if figure_id == "headline":
-            return self.headline_plan(**kwargs)
-        if figure_id not in FIGURES:
+        entry = FIGURES.get(figure_id)
+        if entry is None:
             raise ValueError(
                 f"unknown figure {figure_id!r}; one of {sorted(FIGURES)}"
             )
-        builder = getattr(self, f"_plan_{figure_id}", None)
-        if builder is None:
-            return SweepPlan(figure_id=figure_id, meta=dict(kwargs))
-        return builder(**kwargs)
+        return entry[0](self, figure_id, **kwargs)
 
-    def _execute_plan(self, plan: SweepPlan) -> int:
-        """Batch-execute a plan through :meth:`prefetch` (legacy path)."""
+    def figure_frame(self, plan: SweepPlan, seed: int) -> FigureData:
+        """Aggregate one *seed's* frame of a figure from warm caches.
 
-        if plan.empty:
-            return 0
-        executed = 0
-        for seed in plan.seeds:
-            executed += self.prefetch(plan.runs,
-                                      alone_mixes=plan.alone_mixes, seed=seed)
-        return executed
+        The plan's runs (for this seed) must already be computed — callers
+        consume the plan's handles first.  Frames of all seeds share one
+        structure, so :func:`repro.analysis.aggregate.aggregate_figures`
+        can fold them into the published mean ± CI figure.
+        """
+
+        entry = FIGURES.get(plan.figure_id)
+        if entry is None:
+            raise ValueError(
+                f"figure {plan.figure_id!r} has no per-seed frame builder"
+            )
+        return entry[1](self, plan, seed)
+
+    def fold(self, plan: SweepPlan) -> Union[FigureData, Dict[str, float]]:
+        """Fold a computed plan's per-seed frames into its published form.
+
+        A figure plan folds to the :class:`FigureData` (mean ± CI cells
+        over the seeds; one seed folds to its frame unchanged), the
+        :meth:`headline_plan` to the headline-number dictionary.
+        """
+
+        if plan.figure_id == "headline":
+            return aggregate_headlines(
+                [self._headline_frame(plan, seed) for seed in plan.seeds]
+            )
+        return aggregate_figures(
+            [self.figure_frame(plan, seed) for seed in plan.seeds]
+        )
 
     def _grid_plan(self, figure_id: str,
                    mixes: Sequence[str],
@@ -855,13 +520,12 @@ class ExperimentRunner:
                    alone: bool = True,
                    extra_runs: Sequence[RunSpec] = (),
                    meta: Optional[Dict[str, object]] = None) -> SweepPlan:
-        """The cartesian grid plan common to the figure methods.
+        """The cartesian grid plan common to the plan builders.
 
         ``baseline`` adds the per-mix no-mitigation reference run at the
         default N_RH; ``alone`` adds the standalone-IPC baselines of every
-        trace in the mixes; ``extra_runs`` are off-grid points batched into
-        the same dispatch (a second prefetch call would serialise them
-        behind the grid's barrier).
+        trace in the mixes; ``extra_runs`` are off-grid points submitted
+        with the grid.
         """
 
         runs: List[RunSpec] = list(extra_runs)
@@ -885,53 +549,8 @@ class ExperimentRunner:
         )
 
     # ------------------------------------------------------------------ #
-    # Per-seed figure frames and the seed-axis aggregation
+    # Adaptive escalation (narrowed plans for wide-CI cells)
     # ------------------------------------------------------------------ #
-    #: figure_id -> the method that builds one per-seed frame of it.  Every
-    #: plan-backed figure appears here; fig5 (analytical) and fig19 (bespoke
-    #: threshold sweep) have no seed axis and no frame builder.
-    _FRAME_BUILDERS: Dict[str, str] = {
-        "fig2": "_frame_fig2",
-        "fig6": "_frame_per_mix",
-        "fig7": "_frame_per_mix",
-        "fig8": "_frame_nrh_scaling",
-        "fig9": "_frame_nrh_scaling",
-        "fig10": "_frame_fig10",
-        "fig11": "_frame_latency",
-        "fig12": "_frame_fig12",
-        "fig13": "_frame_per_mix",
-        "fig14": "_frame_per_mix",
-        "fig15": "_frame_benign_scaling",
-        "fig16": "_frame_benign_scaling",
-        "fig17": "_frame_latency",
-        "fig18": "_frame_fig18",
-    }
-
-    def figure_frame(self, plan: SweepPlan, seed: int) -> FigureData:
-        """Aggregate one *seed's* frame of a figure from warm caches.
-
-        The plan's runs (for this seed) must already be computed — the
-        batch path executes the plan first, the streaming/adaptive paths
-        consume the plan's handles first.  Frames of all seeds share one
-        structure, so :func:`repro.analysis.aggregate.aggregate_figures`
-        can fold them into the published mean ± CI figure.
-        """
-
-        builder = self._FRAME_BUILDERS.get(plan.figure_id)
-        if builder is None:
-            raise ValueError(
-                f"figure {plan.figure_id!r} has no per-seed frame builder"
-            )
-        return getattr(self, builder)(plan, seed)
-
-    def _figure_from_plan(self, plan: SweepPlan) -> FigureData:
-        """Batch-execute a plan and fold its per-seed frames (legacy path)."""
-
-        self._execute_plan(plan)
-        return aggregate_figures(
-            [self.figure_frame(plan, seed) for seed in plan.seeds]
-        )
-
     @staticmethod
     def _want(only: Optional[Sequence[str]], label: str) -> bool:
         """Does a frame build ``label``?  ``only`` is the escalation filter.
@@ -965,10 +584,13 @@ class ExperimentRunner:
         narrowed too.  Cells that aggregate *across* a dimension (geomean
         over mixes, a latency curve over one run set) keep that dimension
         whole, so escalated frame cells equal what a full frame at the same
-        seed would hold.
+        seed would hold.  The figure's frame builder in :data:`FIGURES`
+        names its family, and the family decides which runs a cell needs.
         """
 
-        if plan.figure_id not in self._FRAME_BUILDERS:
+        runner = ExperimentRunner
+        frame = FIGURES.get(plan.figure_id, (None, None))[1]
+        if frame in (None, runner._frame_fig5, runner._frame_fig19):
             raise ValueError(
                 f"figure {plan.figure_id!r} has no seed axis to escalate"
             )
@@ -977,7 +599,7 @@ class ExperimentRunner:
         meta = dict(plan.meta)
         meta["series"] = labels
         runs: List[RunSpec] = []
-        if plan.figure_id in self._PER_MIX_FIGURES:
+        if frame is runner._frame_per_mix:
             # x axis = mixes + ["geomean"]; a wide geomean needs every mix.
             mixes = list(plan.meta["mixes"])
             if "geomean" not in wide_x:
@@ -990,7 +612,7 @@ class ExperimentRunner:
                     runs.append((mix, mechanism, nrh, False))
                     runs.append((mix, mechanism, nrh, True))
             alone_mixes: Tuple[str, ...] = tuple(mixes)
-        elif plan.figure_id in ("fig11", "fig17"):
+        elif frame is runner._frame_latency:
             # x axis = percentile points of one curve: any wide point needs
             # the whole curve's run set, so only the series narrow.
             nrh = plan.meta["nrh"]
@@ -1005,15 +627,17 @@ class ExperimentRunner:
             sweep = [nrh for nrh in plan.meta["sweep"] if nrh in wide_x]
             meta["sweep"] = sweep
             mixes = plan.meta["mixes"]
-            if plan.figure_id in ("fig2", "fig8", "fig9", "fig12", "fig18"):
+            if frame not in (runner._frame_benign_scaling,
+                             runner._frame_fig10):
+                # Normalised to the per-mix no-mitigation baseline.
                 runs.extend((mix, "none", self.config.nrh_default, False)
                             for mix in mixes)
             for label in labels:
                 mechanism, breakhammer = self._label_mechanism(label)
-                if plan.figure_id in ("fig15", "fig16"):
+                if frame is runner._frame_benign_scaling:
                     # Normalised to the mechanism alone: both runs needed.
                     bh_values: Tuple[bool, ...] = (False, True)
-                elif plan.figure_id == "fig10":
+                elif frame is runner._frame_fig10:
                     # Normalised to the mechanism's count at the reference
                     # N_RH, which the narrowed sweep may no longer contain.
                     reference_nrh = plan.meta.get(
@@ -1059,28 +683,19 @@ class ExperimentRunner:
         return max_slowdown(stats.ipc_by_thread, alone,
                             include=mix.benign_threads)
 
-    def _ratio_series(self, values: Dict[str, float],
-                      baselines: Dict[str, float]) -> List[float]:
-        return [
-            values[name] / max(1e-9, baselines[name]) for name in values
-        ]
-
     # ------------------------------------------------------------------ #
     # Figure 2 — motivation: mitigation overhead vs N_RH (benign mixes)
     # ------------------------------------------------------------------ #
-    def _plan_fig2(self, mechanisms: Optional[Sequence[str]] = None,
+    def _plan_fig2(self, figure_id: str,
+                   mechanisms: Optional[Sequence[str]] = None,
                    mixes: Optional[Sequence[str]] = None) -> SweepPlan:
         mechanisms = list(mechanisms or MOTIVATION_MECHANISMS)
         mixes = list(mixes or self.config.benign_mixes)
         sweep = list(self.config.nrh_sweep)
         return self._grid_plan(
-            "fig2", mixes, mechanisms, sweep, (False,), baseline=True,
+            figure_id, mixes, mechanisms, sweep, (False,), baseline=True,
             meta=dict(mechanisms=mechanisms, mixes=mixes, sweep=sweep),
         )
-
-    def figure2(self, mechanisms: Optional[Sequence[str]] = None,
-                mixes: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(self._plan_fig2(mechanisms, mixes))
 
     def _frame_fig2(self, plan: SweepPlan, seed: int) -> FigureData:
         mechanisms = plan.meta["mechanisms"]
@@ -1119,8 +734,16 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
     # Figure 5 — analytical security bound
     # ------------------------------------------------------------------ #
-    def figure5(self, attacker_percentages: Sequence[int] = tuple(range(0, 101, 10)),
-                cap: float = 10.0) -> FigureData:
+    def _plan_fig5(self, figure_id: str,
+                   attacker_percentages: Sequence[int] = tuple(
+                       range(0, 101, 10)),
+                   cap: float = 10.0) -> SweepPlan:
+        return SweepPlan(figure_id=figure_id, meta=dict(
+            attacker_percentages=list(attacker_percentages), cap=cap,
+        ))
+
+    def _frame_fig5(self, plan: SweepPlan, seed: int) -> FigureData:
+        attacker_percentages = plan.meta["attacker_percentages"]
         analysis = SecurityAnalysis()
         figure = FigureData(
             figure_id="fig5",
@@ -1129,44 +752,48 @@ class ExperimentRunner:
             y_label="max_attacker_score_over_benign_avg",
             x_values=list(attacker_percentages),
         )
-        for th, values in analysis.figure5(attacker_percentages, cap).items():
+        curves = analysis.figure5(attacker_percentages, plan.meta["cap"])
+        for th, values in curves.items():
             figure.add_series(f"TH_outlier={th:.2f}", values)
         return figure
 
     # ------------------------------------------------------------------ #
     # Figures 6/7 — per-mix performance and unfairness under attack
     # ------------------------------------------------------------------ #
-    def _per_mix_plan(self, figure_id: str, default_nrh: int,
-                      default_mixes: Sequence[str],
-                      nrh: Optional[int] = None,
+    #: figure_id -> (metric, title, default N_RH field, default mixes
+    #: field) of the per-mix BreakHammer-ratio family.
+    _PER_MIX_FIGURES: Dict[str, Tuple[str, str, str, str]] = {
+        "fig6": ("weighted_speedup",
+                 "Benign weighted speedup with BreakHammer, normalised to "
+                 "the mechanism alone", "nrh_default", "attack_mixes"),
+        "fig7": ("max_slowdown",
+                 "Benign unfairness (max slowdown) with BreakHammer, "
+                 "normalised to the mechanism alone",
+                 "nrh_default", "attack_mixes"),
+        "fig13": ("weighted_speedup",
+                  "Benign-only weighted speedup with BreakHammer, "
+                  "normalised to the mechanism alone",
+                  "nrh_low", "benign_mixes"),
+        "fig14": ("max_slowdown",
+                  "Benign-only unfairness with BreakHammer, normalised "
+                  "to the mechanism alone", "nrh_default", "benign_mixes"),
+    }
+
+    def _plan_per_mix(self, figure_id: str, nrh: Optional[int] = None,
                       mixes: Optional[Sequence[str]] = None,
-                      mechanisms: Optional[Sequence[str]] = None) -> SweepPlan:
-        nrh = nrh or default_nrh
-        mixes = list(mixes or default_mixes)
+                      mechanisms: Optional[Sequence[str]] = None
+                      ) -> SweepPlan:
+        _, _, nrh_field, mixes_field = self._PER_MIX_FIGURES[figure_id]
+        nrh = nrh or getattr(self.config, nrh_field)
+        mixes = list(mixes or getattr(self.config, mixes_field))
         mechanisms = list(mechanisms or self.config.mechanisms)
         return self._grid_plan(
             figure_id, mixes, mechanisms, (nrh,), (False, True),
             meta=dict(nrh=nrh, mixes=mixes, mechanisms=mechanisms),
         )
 
-    #: figure_id -> (metric, title) of the per-mix BreakHammer-ratio family.
-    _PER_MIX_FIGURES: Dict[str, Tuple[str, str]] = {
-        "fig6": ("weighted_speedup",
-                 "Benign weighted speedup with BreakHammer, normalised to "
-                 "the mechanism alone"),
-        "fig7": ("max_slowdown",
-                 "Benign unfairness (max slowdown) with BreakHammer, "
-                 "normalised to the mechanism alone"),
-        "fig13": ("weighted_speedup",
-                  "Benign-only weighted speedup with BreakHammer, "
-                  "normalised to the mechanism alone"),
-        "fig14": ("max_slowdown",
-                  "Benign-only unfairness with BreakHammer, normalised "
-                  "to the mechanism alone"),
-    }
-
     def _frame_per_mix(self, plan: SweepPlan, seed: int) -> FigureData:
-        metric, title = self._PER_MIX_FIGURES[plan.figure_id]
+        metric, title, _, _ = self._PER_MIX_FIGURES[plan.figure_id]
         nrh = plan.meta["nrh"]
         mixes = plan.meta["mixes"]
         mechanisms = plan.meta["mechanisms"]
@@ -1198,35 +825,20 @@ class ExperimentRunner:
             figure.add_series(f"{mechanism}+BH", ratios)
         return figure
 
-    def _plan_fig6(self, **kwargs) -> SweepPlan:
-        return self._per_mix_plan("fig6", self.config.nrh_default,
-                                  self.config.attack_mixes, **kwargs)
-
-    def _plan_fig7(self, **kwargs) -> SweepPlan:
-        return self._per_mix_plan("fig7", self.config.nrh_default,
-                                  self.config.attack_mixes, **kwargs)
-
-    def figure6(self, nrh: Optional[int] = None,
-                mixes: Optional[Sequence[str]] = None,
-                mechanisms: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(
-            self._plan_fig6(nrh=nrh, mixes=mixes, mechanisms=mechanisms)
-        )
-
-    def figure7(self, nrh: Optional[int] = None,
-                mixes: Optional[Sequence[str]] = None,
-                mechanisms: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(
-            self._plan_fig7(nrh=nrh, mixes=mixes, mechanisms=mechanisms)
-        )
-
     # ------------------------------------------------------------------ #
     # Figures 8/9 — scaling with N_RH under attack
     # ------------------------------------------------------------------ #
-    def _nrh_scaling_plan(self, figure_id: str,
-                          include_baseline_series: bool,
+    #: figure_id -> (metric, include_baseline_series) of the
+    #: attacker-present N_RH-scaling family.
+    _NRH_SCALING_FIGURES: Dict[str, Tuple[str, bool]] = {
+        "fig8": ("weighted_speedup", True),
+        "fig9": ("max_slowdown", False),
+    }
+
+    def _plan_nrh_scaling(self, figure_id: str,
                           mechanisms: Optional[Sequence[str]] = None,
                           mixes: Optional[Sequence[str]] = None) -> SweepPlan:
+        include_baseline_series = self._NRH_SCALING_FIGURES[figure_id][1]
         mechanisms = list(mechanisms or self.config.mechanisms)
         mixes = list(mixes or self.config.attack_mixes)
         sweep = list(self.config.nrh_sweep)
@@ -1238,14 +850,8 @@ class ExperimentRunner:
                       include_baseline_series=include_baseline_series),
         )
 
-    #: figure_id -> metric of the attacker-present N_RH-scaling family.
-    _NRH_SCALING_METRICS: Dict[str, str] = {
-        "fig8": "weighted_speedup",
-        "fig9": "max_slowdown",
-    }
-
     def _frame_nrh_scaling(self, plan: SweepPlan, seed: int) -> FigureData:
-        metric = self._NRH_SCALING_METRICS[plan.figure_id]
+        metric = self._NRH_SCALING_FIGURES[plan.figure_id][0]
         mechanisms = plan.meta["mechanisms"]
         mixes = plan.meta["mixes"]
         sweep = plan.meta["sweep"]
@@ -1296,28 +902,11 @@ class ExperimentRunner:
                                   series_for(mechanism, True))
         return figure
 
-    def _plan_fig8(self, **kwargs) -> SweepPlan:
-        return self._nrh_scaling_plan("fig8", True, **kwargs)
-
-    def _plan_fig9(self, **kwargs) -> SweepPlan:
-        return self._nrh_scaling_plan("fig9", False, **kwargs)
-
-    def figure8(self, mechanisms: Optional[Sequence[str]] = None,
-                mixes: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(
-            self._plan_fig8(mechanisms=mechanisms, mixes=mixes)
-        )
-
-    def figure9(self, mechanisms: Optional[Sequence[str]] = None,
-                mixes: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(
-            self._plan_fig9(mechanisms=mechanisms, mixes=mixes)
-        )
-
     # ------------------------------------------------------------------ #
     # Figure 10 — preventive-action counts
     # ------------------------------------------------------------------ #
-    def _plan_fig10(self, mechanisms: Optional[Sequence[str]] = None,
+    def _plan_fig10(self, figure_id: str,
+                    mechanisms: Optional[Sequence[str]] = None,
                     mixes: Optional[Sequence[str]] = None) -> SweepPlan:
         mechanisms = [
             m for m in (mechanisms or self.config.mechanisms) if m != "rega"
@@ -1325,14 +914,10 @@ class ExperimentRunner:
         mixes = list(mixes or self.config.attack_mixes)
         sweep = list(self.config.nrh_sweep)
         return self._grid_plan(
-            "fig10", mixes, mechanisms, sweep, (False, True), alone=False,
+            figure_id, mixes, mechanisms, sweep, (False, True), alone=False,
             meta=dict(mechanisms=mechanisms, mixes=mixes, sweep=sweep,
                       reference_nrh=sweep[0]),
         )
-
-    def figure10(self, mechanisms: Optional[Sequence[str]] = None,
-                 mixes: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(self._plan_fig10(mechanisms, mixes))
 
     def _frame_fig10(self, plan: SweepPlan, seed: int) -> FigureData:
         mechanisms = plan.meta["mechanisms"]
@@ -1377,12 +962,13 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
     # Figures 11/17 — memory latency percentiles
     # ------------------------------------------------------------------ #
-    def _latency_plan(self, with_attacker: bool,
+    def _plan_latency(self, figure_id: str,
                       nrh: Optional[int] = None,
                       mechanisms: Optional[Sequence[str]] = None,
                       mixes: Optional[Sequence[str]] = None,
                       points: Sequence[int] = (50, 75, 90, 95, 99, 100),
                       ) -> SweepPlan:
+        with_attacker = figure_id == "fig11"
         nrh = nrh or self.config.nrh_low
         mechanisms = list(mechanisms or self.config.mechanisms)
         mixes = list(
@@ -1392,27 +978,10 @@ class ExperimentRunner:
             )
         )
         return self._grid_plan(
-            "fig11" if with_attacker else "fig17",
-            mixes, mechanisms, (nrh,), (False, True), alone=False,
+            figure_id, mixes, mechanisms, (nrh,), (False, True), alone=False,
             extra_runs=[(mix, "none", nrh, False) for mix in mixes],
             meta=dict(nrh=nrh, mechanisms=mechanisms, mixes=mixes,
                       points=list(points)),
-        )
-
-    def _plan_fig11(self, **kwargs) -> SweepPlan:
-        return self._latency_plan(True, **kwargs)
-
-    def _plan_fig17(self, **kwargs) -> SweepPlan:
-        return self._latency_plan(False, **kwargs)
-
-    def latency_percentile_figure(self, with_attacker: bool,
-                                  nrh: Optional[int] = None,
-                                  mechanisms: Optional[Sequence[str]] = None,
-                                  mixes: Optional[Sequence[str]] = None,
-                                  points: Sequence[int] = (50, 75, 90, 95, 99, 100),
-                                  ) -> FigureData:
-        return self._figure_from_plan(
-            self._latency_plan(with_attacker, nrh, mechanisms, mixes, points)
         )
 
     def _frame_latency(self, plan: SweepPlan, seed: int) -> FigureData:
@@ -1450,29 +1019,20 @@ class ExperimentRunner:
                 figure.add_series(f"{mechanism}+BH", curve(mechanism, True))
         return figure
 
-    def figure11(self, **kwargs) -> FigureData:
-        return self.latency_percentile_figure(True, **kwargs)
-
-    def figure17(self, **kwargs) -> FigureData:
-        return self.latency_percentile_figure(False, **kwargs)
-
     # ------------------------------------------------------------------ #
     # Figure 12 — DRAM energy
     # ------------------------------------------------------------------ #
-    def _plan_fig12(self, mechanisms: Optional[Sequence[str]] = None,
+    def _plan_fig12(self, figure_id: str,
+                    mechanisms: Optional[Sequence[str]] = None,
                     mixes: Optional[Sequence[str]] = None) -> SweepPlan:
         mechanisms = list(mechanisms or self.config.mechanisms)
         mixes = list(mixes or self.config.attack_mixes)
         sweep = list(self.config.nrh_sweep)
         return self._grid_plan(
-            "fig12", mixes, mechanisms, sweep, (False, True),
+            figure_id, mixes, mechanisms, sweep, (False, True),
             baseline=True, alone=False,
             meta=dict(mechanisms=mechanisms, mixes=mixes, sweep=sweep),
         )
-
-    def figure12(self, mechanisms: Optional[Sequence[str]] = None,
-                 mixes: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(self._plan_fig12(mechanisms, mixes))
 
     def _frame_fig12(self, plan: SweepPlan, seed: int) -> FigureData:
         mechanisms = plan.meta["mechanisms"]
@@ -1511,31 +1071,9 @@ class ExperimentRunner:
         return figure
 
     # ------------------------------------------------------------------ #
-    # Figures 13-16 — all-benign studies
+    # Figures 15/16 — all-benign studies
     # ------------------------------------------------------------------ #
-    def _plan_fig13(self, **kwargs) -> SweepPlan:
-        return self._per_mix_plan("fig13", self.config.nrh_low,
-                                  self.config.benign_mixes, **kwargs)
-
-    def _plan_fig14(self, **kwargs) -> SweepPlan:
-        return self._per_mix_plan("fig14", self.config.nrh_default,
-                                  self.config.benign_mixes, **kwargs)
-
-    def figure13(self, nrh: Optional[int] = None,
-                 mixes: Optional[Sequence[str]] = None,
-                 mechanisms: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(
-            self._plan_fig13(nrh=nrh, mixes=mixes, mechanisms=mechanisms)
-        )
-
-    def figure14(self, nrh: Optional[int] = None,
-                 mixes: Optional[Sequence[str]] = None,
-                 mechanisms: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(
-            self._plan_fig14(nrh=nrh, mixes=mixes, mechanisms=mechanisms)
-        )
-
-    def _benign_scaling_plan(self, figure_id: str,
+    def _plan_benign_scaling(self, figure_id: str,
                              mechanisms: Optional[Sequence[str]] = None,
                              mixes: Optional[Sequence[str]] = None
                              ) -> SweepPlan:
@@ -1546,12 +1084,6 @@ class ExperimentRunner:
             figure_id, mixes, mechanisms, sweep, (False, True),
             meta=dict(mechanisms=mechanisms, mixes=mixes, sweep=sweep),
         )
-
-    def _plan_fig15(self, **kwargs) -> SweepPlan:
-        return self._benign_scaling_plan("fig15", **kwargs)
-
-    def _plan_fig16(self, **kwargs) -> SweepPlan:
-        return self._benign_scaling_plan("fig16", **kwargs)
 
     #: figure_id -> metric of the all-benign N_RH-scaling family.
     _BENIGN_SCALING_METRICS: Dict[str, str] = {
@@ -1595,36 +1127,21 @@ class ExperimentRunner:
             figure.add_series(f"{mechanism}+BH", values)
         return figure
 
-    def figure15(self, mechanisms: Optional[Sequence[str]] = None,
-                 mixes: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(
-            self._plan_fig15(mechanisms=mechanisms, mixes=mixes)
-        )
-
-    def figure16(self, mechanisms: Optional[Sequence[str]] = None,
-                 mixes: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(
-            self._plan_fig16(mechanisms=mechanisms, mixes=mixes)
-        )
-
     # ------------------------------------------------------------------ #
     # Figure 18 — comparison with BlockHammer
     # ------------------------------------------------------------------ #
-    def _plan_fig18(self, mechanisms: Optional[Sequence[str]] = None,
+    def _plan_fig18(self, figure_id: str,
+                    mechanisms: Optional[Sequence[str]] = None,
                     mixes: Optional[Sequence[str]] = None) -> SweepPlan:
         mechanisms = list(mechanisms or self.config.mechanisms)
         mixes = list(mixes or self.config.attack_mixes)
         sweep = list(self.config.nrh_sweep)
         return self._grid_plan(
-            "fig18", mixes, mechanisms, sweep, (True,), baseline=True,
+            figure_id, mixes, mechanisms, sweep, (True,), baseline=True,
             extra_runs=[(mix, "blockhammer", nrh, False)
                         for nrh in sweep for mix in mixes],
             meta=dict(mechanisms=mechanisms, mixes=mixes, sweep=sweep),
         )
-
-    def figure18(self, mechanisms: Optional[Sequence[str]] = None,
-                 mixes: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(self._plan_fig18(mechanisms, mixes))
 
     def _frame_fig18(self, plan: SweepPlan, seed: int) -> FigureData:
         mechanisms = plan.meta["mechanisms"]
@@ -1663,26 +1180,38 @@ class ExperimentRunner:
                 figure.add_series(f"{mechanism}+BH", series(mechanism, True))
         if self._want(only, "blockhammer"):
             figure.add_series("blockhammer", series("blockhammer", False))
+
         return figure
 
     # ------------------------------------------------------------------ #
     # Figure 19 — sensitivity to TH_threat
     # ------------------------------------------------------------------ #
-    def figure19(self, threat_thresholds: Sequence[float] = (2.0, 8.0, 32.0),
-                 nrh_values: Optional[Sequence[int]] = None,
-                 mechanism: str = "graphene") -> FigureData:
+    def _plan_fig19(self, figure_id: str,
+                    threat_thresholds: Sequence[float] = (2.0, 8.0, 32.0),
+                    nrh_values: Optional[Sequence[int]] = None,
+                    mechanism: str = "graphene") -> SweepPlan:
+        nrh_values = list(nrh_values or (self.config.nrh_sweep[0],
+                                         self.config.nrh_default,
+                                         self.config.nrh_low))
+        return SweepPlan(figure_id=figure_id, meta=dict(
+            thresholds=list(threat_thresholds), nrh_values=nrh_values,
+            mechanism=mechanism,
+        ))
+
+    def _frame_fig19(self, plan: SweepPlan, seed: int) -> FigureData:
         """Sensitivity of the BreakHammer benefit to ``TH_threat``.
 
         The paper sweeps 32 / 512 / 4096 over 64 ms windows; the scaled
         equivalents here keep the same ratios over the shortened windows.
         Values are weighted speedup normalised to the *largest* threshold
-        (the least aggressive configuration), as in the paper.
+        (the least aggressive configuration), as in the paper.  The runs
+        vary the BreakHammer configuration itself, so they bypass the
+        grid's run cache and simulate here, serially.
         """
 
-        nrh_values = list(nrh_values or (self.config.nrh_sweep[0],
-                                         self.config.nrh_default,
-                                         self.config.nrh_low))
-        thresholds = list(threat_thresholds)
+        thresholds = plan.meta["thresholds"]
+        nrh_values = plan.meta["nrh_values"]
+        mechanism = plan.meta["mechanism"]
         figure = FigureData(
             figure_id="fig19",
             title="Sensitivity to TH_threat (weighted speedup normalised to "
@@ -1693,7 +1222,7 @@ class ExperimentRunner:
         )
 
         def ws_for(mix_name: str, nrh: int, threshold: float) -> float:
-            mix = self.mix(mix_name)
+            mix = self.mix(mix_name, seed)
             config = self._base_system.with_(
                 mitigation=mechanism, nrh=nrh, breakhammer_enabled=True,
                 breakhammer=self._base_system.breakhammer.__class__(
@@ -1823,25 +1352,20 @@ class ExperimentRunner:
     # Headline numbers (abstract / §8 claims)
     # ------------------------------------------------------------------ #
     def headline_plan(self, nrh: Optional[int] = None) -> SweepPlan:
+        """The sweep behind the headline numbers (:meth:`fold` folds it).
+
+        Average benign speedup / energy / action ratios with an attacker
+        present.  Mirrors the abstract's "improves performance by 90.1%
+        and reduces DRAM energy by 55.7% on average across workloads with
+        a malicious application" claim structure (the magnitudes depend
+        on scale).
+        """
+
         nrh = nrh or self.config.nrh_low
         return self._grid_plan(
             "headline", list(self.config.attack_mixes),
             list(self.config.mechanisms), (nrh,), (False, True),
             meta=dict(nrh=nrh),
-        )
-
-    def headline_numbers(self, nrh: Optional[int] = None) -> Dict[str, float]:
-        """Average benign speedup / action reduction with an attacker present.
-
-        Mirrors the abstract's "improves performance by 90.1% and reduces
-        DRAM energy by 55.7% on average across workloads with a malicious
-        application" claim structure (the magnitudes depend on scale).
-        """
-
-        plan = self.headline_plan(nrh)
-        self._execute_plan(plan)
-        return aggregate_headlines(
-            [self._headline_frame(plan, seed) for seed in plan.seeds]
         )
 
     def _headline_frame(self, plan: SweepPlan, seed: int) -> Dict[str, float]:
@@ -1873,3 +1397,42 @@ class ExperimentRunner:
                 sum(action_ratios) / len(action_ratios) if action_ratios else 1.0
             ),
         }
+
+
+#: Every figure, mapped to its (plan builder, frame builder) pair: the plan
+#: builder declares the figure's run grid as a :class:`SweepPlan`, the
+#: frame builder aggregates one seed's frame from warm caches, and
+#: :meth:`ExperimentRunner.fold` folds the frames.  Figures that share a
+#: builder form one family (per-mix ratios, N_RH scaling, latency curves,
+#: benign scaling); :meth:`ExperimentRunner.escalation_plan` narrows each
+#: family its own way.  ``repro.api.Session``, the ``python -m repro.api
+#: run`` CLI and the experiment service reach figures only through here.
+FIGURES: Dict[str, Tuple[Callable[..., SweepPlan],
+                         Callable[..., FigureData]]] = {
+    "fig2": (ExperimentRunner._plan_fig2, ExperimentRunner._frame_fig2),
+    "fig5": (ExperimentRunner._plan_fig5, ExperimentRunner._frame_fig5),
+    "fig6": (ExperimentRunner._plan_per_mix,
+             ExperimentRunner._frame_per_mix),
+    "fig7": (ExperimentRunner._plan_per_mix,
+             ExperimentRunner._frame_per_mix),
+    "fig8": (ExperimentRunner._plan_nrh_scaling,
+             ExperimentRunner._frame_nrh_scaling),
+    "fig9": (ExperimentRunner._plan_nrh_scaling,
+             ExperimentRunner._frame_nrh_scaling),
+    "fig10": (ExperimentRunner._plan_fig10, ExperimentRunner._frame_fig10),
+    "fig11": (ExperimentRunner._plan_latency,
+              ExperimentRunner._frame_latency),
+    "fig12": (ExperimentRunner._plan_fig12, ExperimentRunner._frame_fig12),
+    "fig13": (ExperimentRunner._plan_per_mix,
+              ExperimentRunner._frame_per_mix),
+    "fig14": (ExperimentRunner._plan_per_mix,
+              ExperimentRunner._frame_per_mix),
+    "fig15": (ExperimentRunner._plan_benign_scaling,
+              ExperimentRunner._frame_benign_scaling),
+    "fig16": (ExperimentRunner._plan_benign_scaling,
+              ExperimentRunner._frame_benign_scaling),
+    "fig17": (ExperimentRunner._plan_latency,
+              ExperimentRunner._frame_latency),
+    "fig18": (ExperimentRunner._plan_fig18, ExperimentRunner._frame_fig18),
+    "fig19": (ExperimentRunner._plan_fig19, ExperimentRunner._frame_fig19),
+}

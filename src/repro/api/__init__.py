@@ -15,9 +15,8 @@ The stable way to run this reproduction's sweeps:
   ``REPRO_ENGINE`` / ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` environment
   variables (explicit spec/session values always win).
 
-The legacy :class:`repro.analysis.experiments.ExperimentRunner` facade
-remains as a deprecation shim driving the same engine; results are
-bit-identical between the two surfaces.
+A session drives one :class:`repro.analysis.experiments.ExperimentRunner`,
+built from the resolved spec and :class:`ExecutionPlan`.
 """
 
 from repro.analysis.executor import RunHandle, SweepPlan, iter_completed

@@ -3,12 +3,13 @@
 A :class:`Session` binds one :class:`~repro.api.spec.ExperimentSpec` to one
 execution environment (worker pool, on-disk run cache) and exposes the
 futures surface: :meth:`Session.submit` returns
-:class:`~repro.analysis.executor.RunHandle` objects, figures *subscribe* to
-their grid's handles and aggregate as results stream in, and
-:meth:`Session.figures` overlaps one figure's aggregation with the next
-figure's execution on a shared pool.  Results are bit-identical to the
-legacy batch path (``tests/test_api_session.py`` pins this for serial and
-parallel executors, cold and warm caches).
+:class:`~repro.analysis.executor.RunHandle` objects, and every figure is
+computed one way — submit its sweep plan, consume the handles, fold the
+per-seed frames (:meth:`~repro.analysis.experiments.ExperimentRunner.fold`).
+:meth:`Session.figures` overlaps one figure's fold with the next figure's
+execution on a shared pool.  Results are bit-identical across serial and
+parallel executors, cold and warm caches (``tests/test_api_session.py``
+pins them against digests of fixed reference figures).
 
 Execution-knob resolution (the one documented place)
 ----------------------------------------------------
@@ -34,7 +35,7 @@ are unchanged — cluster sweeps are bit-identical to serial ones
 
 Explicit spec/session values therefore always beat ``REPRO_*`` variables.
 ``cache_dir=""`` (explicit empty string) force-disables the cache even when
-``REPRO_CACHE_DIR`` is exported, matching the legacy
+``REPRO_CACHE_DIR`` is exported, matching the
 :class:`~repro.analysis.runcache.RunCache` contract.
 """
 
@@ -49,22 +50,13 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.aggregate import SeriesStats
-
 from repro.analysis.executor import (
-    BACKEND_ENV,
-    JOBS_ENV,
     RunHandle,
-    SweepPlan,
     iter_completed,
     resolve_backend,
     resolve_jobs,
 )
-from repro.analysis.experiments import (
-    FIGURES,
-    TABLES,
-    ExperimentRunner,
-    HarnessConfig,
-)
+from repro.analysis.experiments import TABLES, ExperimentRunner
 from repro.analysis.figures import FigureData, TableData
 from repro.analysis.runcache import CACHE_DIR_ENV, RunCache
 from repro.api.spec import ExperimentSpec, RunPoint
@@ -77,12 +69,28 @@ DEFAULT_ENGINE = "fast"
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """The fully resolved execution knobs of one session."""
+    """The fully resolved execution knobs of one session.
+
+    ``engine`` is pinned into the session's spec; none of the others
+    affects simulation *results*, so none is part of the spec
+    fingerprint.  ``cache_dir=None`` means no run cache.  ``broker``
+    is the cluster listen address (``host:port`` / ``unix:/path``),
+    ``workers`` the ceiling of co-located cluster workers to spawn,
+    ``spool_dir`` the columnar trace spool workers mmap instead of
+    regenerating (:mod:`repro.workloads.spool`), and ``workload_dir`` the
+    ingested-workload catalog (``None`` defers to ``REPRO_WORKLOAD_DIR``).
+    The catalogued trace *digests* do affect results and fold into the
+    spec fingerprint wherever the catalog lives.
+    """
 
     engine: str
     jobs: int
     cache_dir: Optional[str]
     backend: str = "local"
+    broker: Optional[str] = None
+    workers: int = 0
+    spool_dir: Optional[str] = None
+    workload_dir: Optional[str] = None
 
 
 def resolve_engine(explicit: Optional[str] = None) -> str:
@@ -111,8 +119,8 @@ def resolve_execution(spec: Optional[ExperimentSpec] = None,
     ``engine`` (argument) beats ``spec.engine`` beats ``$REPRO_ENGINE``;
     ``jobs``/``cache_dir``/``backend`` arguments beat ``$REPRO_JOBS``/
     ``$REPRO_CACHE_DIR``/``$REPRO_BACKEND``.
-    ``jobs=None`` defers to the environment; ``jobs=0`` does too (the legacy
-    HarnessConfig convention).  ``cache_dir=None`` defers, ``""`` disables.
+    ``jobs=None`` defers to the environment; so does ``jobs=0``.
+    ``cache_dir=None`` defers, ``""`` disables.
 
     Engines: ``fast`` (default) and ``cycle`` (the per-cycle reference —
     bisect engine regressions with ``REPRO_ENGINE=cycle``), each running
@@ -149,10 +157,11 @@ class Session:
             all_figs = session.figures(["fig6", "fig7", "fig12"])
 
     The session resolves its execution knobs once, up front, through
-    :func:`resolve_execution`, builds the (legacy) runner it drives, and
-    closes the worker pool on exit.  Alone-IPC baselines are first-class:
-    :meth:`submit_alone` shards one handle per trace across the same pool
-    the grid runs use.
+    :func:`resolve_execution`, builds the
+    :class:`~repro.analysis.experiments.ExperimentRunner` it drives from
+    the resolved spec and plan, and closes the worker pool on exit.
+    Alone-IPC baselines are first-class: :meth:`submit_alone` shards one
+    handle per trace across the same pool the grid runs use.
     """
 
     def __init__(self, spec: Optional[ExperimentSpec] = None, *,
@@ -165,37 +174,33 @@ class Session:
                  spool_dir: Optional[str] = None,
                  workload_dir: Optional[str] = None) -> None:
         spec = spec if spec is not None else ExperimentSpec()
-        self.execution = resolve_execution(spec, jobs=jobs,
-                                           cache_dir=cache_dir,
-                                           engine=engine, backend=backend)
-        self.spec = spec.resolved(self.execution.engine)
-        # Where ingested (``ingest:``) mixes load from; explicit argument
-        # beats REPRO_WORKLOAD_DIR (resolved by the workload catalog).
-        self._workload_dir = workload_dir
-        self._spool_owned: Optional[str] = None
-        resolved_spool = self._resolve_spool_dir(spool_dir)
-        self._runner = ExperimentRunner(HarnessConfig.from_spec(
-            self.spec,
-            jobs=self.execution.jobs,
-            # "" force-disables so an exported REPRO_CACHE_DIR can never
-            # resurrect a cache the resolution chain decided against.
-            cache_dir=self.execution.cache_dir or "",
-            backend=self.execution.backend,
-            broker=broker,
-            cluster_workers=workers or 0,
-            spool_dir=resolved_spool,
+        execution = resolve_execution(spec, jobs=jobs, cache_dir=cache_dir,
+                                      engine=engine, backend=backend)
+        self.spec = spec.resolved(execution.engine)
+        # ``workload_dir`` is where ingested (``ingest:``) mixes load from;
+        # an explicit argument beats REPRO_WORKLOAD_DIR (resolved by the
+        # catalog).
+        self.execution = dataclasses.replace(
+            execution, broker=broker, workers=workers or 0,
             workload_dir=workload_dir,
-        ), _api_owned=True)
+        )
+        self._spool_owned: Optional[str] = None
+        self._runner: Optional[ExperimentRunner] = None
         self._closed = False
-        if resolved_spool is not None:
-            try:
+        try:
+            self.execution = dataclasses.replace(
+                self.execution, spool_dir=self._resolve_spool_dir(spool_dir),
+            )
+            self._runner = ExperimentRunner(self.spec, self.execution)
+            if self.execution.spool_dir is not None:
                 self.materialise_spool()
-            except BaseException:
-                # Spooling failed (read-only/full filesystem): tear the
-                # half-built session down — worker pool / cluster broker
-                # included — instead of leaking it from a failed __init__.
-                self.close()
-                raise
+        except BaseException:
+            # A failed runner/broker construction or spooling (bad broker
+            # address, read-only/full filesystem): tear the half-built
+            # session down — worker pool, cluster broker and the session's
+            # own spool tempdir included — instead of leaking it.
+            self.close()
+            raise
 
     def _resolve_spool_dir(self, spool_dir: Optional[str]) -> Optional[str]:
         """Where this spec's traces spool to (``None`` = no spooling).
@@ -212,8 +217,9 @@ class Session:
         if self.execution.backend != "cluster":
             return None
         if self.execution.cache_dir:
+            fingerprint = self.spec.fingerprint(self.execution.workload_dir)
             return str(Path(self.execution.cache_dir).expanduser()
-                       / f"spool-{self.spec.fingerprint(self._workload_dir)}")
+                       / f"spool-{fingerprint}")
         self._spool_owned = tempfile.mkdtemp(prefix="repro-spool-")
         return self._spool_owned
 
@@ -227,17 +233,16 @@ class Session:
 
         from repro.workloads.spool import TraceSpool
 
-        config = self._runner.config
-        if not config.spool_dir:
+        if not self.execution.spool_dir:
             return 0
-        spool = TraceSpool(config.spool_dir)
+        spool = TraceSpool(self.execution.spool_dir)
         written = 0
         for seed in self.spec.seeds:
             for name in (*self.spec.attack_mixes, *self.spec.benign_mixes):
                 written += spool.dump_mix(
                     self._runner.mix(name, seed), seed=seed,
-                    entries_per_core=config.entries_per_core,
-                    attacker_entries=config.attacker_entries,
+                    entries_per_core=self.spec.entries_per_core,
+                    attacker_entries=self.spec.attacker_entries,
                     fingerprint=self._runner.fingerprint,
                 )
         return written
@@ -247,7 +252,7 @@ class Session:
     # ------------------------------------------------------------------ #
     @property
     def runner(self) -> ExperimentRunner:
-        """The legacy runner this session drives (shared caches)."""
+        """The runner this session drives (shared caches)."""
 
         return self._runner
 
@@ -267,7 +272,7 @@ class Session:
     def spool_dir(self) -> Optional[str]:
         """The columnar trace spool this session's workers mmap, if any."""
 
-        return self._runner.config.spool_dir
+        return self.execution.spool_dir
 
     @property
     def cache(self) -> Optional[RunCache]:
@@ -323,7 +328,8 @@ class Session:
 
     def close(self) -> None:
         if not self._closed:
-            self._runner.close()
+            if self._runner is not None:
+                self._runner.close()
             if self._spool_owned is not None:
                 shutil.rmtree(self._spool_owned, ignore_errors=True)
                 self._spool_owned = None
@@ -342,7 +348,7 @@ class Session:
                breakhammer: bool = False, seed: int = 0) -> RunHandle:
         """Submit one grid point; returns its (possibly completed) handle."""
 
-        return self._runner.submit_prefetch(
+        return self._runner.submit_runs(
             [(mix, mechanism, nrh, breakhammer)], seed=seed
         )[0]
 
@@ -366,7 +372,7 @@ class Session:
             order.append(point)
         handles: Dict[RunPoint, RunHandle] = {}
         for seed, group in by_seed.items():
-            submitted = self._runner.submit_prefetch(
+            submitted = self._runner.submit_runs(
                 [p.as_run_spec() for p in group], seed=seed
             )
             for point, handle in zip(dict.fromkeys(group), submitted):
@@ -380,7 +386,7 @@ class Session:
         runs — they are ordinary spec points, not a serial preamble.
         """
 
-        return self._runner.submit_prefetch([], alone_mixes=[mix], seed=seed)
+        return self._runner.submit_runs([], alone_mixes=[mix], seed=seed)
 
     def run(self, mix: str, mechanism: str, nrh: int,
             breakhammer: bool = False, seed: int = 0) -> RunStatistics:
@@ -399,9 +405,10 @@ class Session:
         The figure's declarative :class:`SweepPlan` is submitted as
         futures; results are merged into the session's caches in
         completion order (out-of-order on a pool — aggregation bookkeeping
-        overlaps execution), and the figure's aggregation then reads the
-        warm caches.  Bit-identical to the legacy batch
-        ``ExperimentRunner.figureN`` path.
+        overlaps execution), and the per-seed frames are then folded from
+        the warm caches.  ``kwargs`` go to the figure's plan builder
+        (``mechanisms``, ``mixes``, ``nrh``, … — see
+        :data:`repro.analysis.experiments.FIGURES`).
 
         ``target_ci`` switches to an **adaptive campaign**: the spec's
         base seed batch runs first, and additional seeds are then
@@ -487,23 +494,26 @@ class Session:
                 **kwargs_by_figure) -> Dict[str, FigureData]:
         """Compute several figures, overlapping aggregation with execution.
 
-        Every figure's plan is submitted up front (shared points are
+        Every plan is built before anything is submitted, so an unknown id
+        (or bad keyword) anywhere in the list raises before any point runs.
+        Every figure's plan is then submitted up front (shared points are
         deduplicated — overlapping grids execute once); each figure is
-        then aggregated as soon as *its* handles have completed, while the
-        later figures' remaining points are still executing in the pool.
+        folded as soon as *its* handles have completed, while the later
+        figures' remaining points are still executing in the pool.
         ``kwargs_by_figure`` maps a figure id to its keyword arguments.
         """
 
-        submitted: Dict[str, List[RunHandle]] = {}
-        for figure_id in dict.fromkeys(figure_ids):
-            kwargs = kwargs_by_figure.get(figure_id, {})
-            plan = self._runner.figure_plan(figure_id, **kwargs)
-            submitted[figure_id] = self._runner.submit_plan(plan)
+        plans = {
+            figure_id: self._runner.figure_plan(
+                figure_id, **kwargs_by_figure.get(figure_id, {}))
+            for figure_id in dict.fromkeys(figure_ids)
+        }
+        submitted = {figure_id: self._runner.submit_plan(plan)
+                     for figure_id, plan in plans.items()}
         results: Dict[str, FigureData] = {}
         for figure_id, handles in submitted.items():
             self._consume(handles)
-            kwargs = kwargs_by_figure.get(figure_id, {})
-            results[figure_id] = self._aggregate_fn(figure_id)(**kwargs)
+            results[figure_id] = self._runner.fold(plans[figure_id])
         return results
 
     def stream(self, figure_id: str, on_result=None, **kwargs) -> FigureData:
@@ -514,19 +524,19 @@ class Session:
         here without changing the aggregation result.
         """
 
-        aggregate = self._aggregate_fn(figure_id)
         plan = self._runner.figure_plan(figure_id, **kwargs)
         for handle in iter_completed(self._runner.submit_plan(plan)):
             handle.result()
             if on_result is not None:
                 on_result(handle)
-        return aggregate(**kwargs)
+        return self._runner.fold(plan)
 
     def headline_numbers(self, nrh: Optional[int] = None) -> Dict[str, float]:
-        self._consume(self._runner.submit_plan(
-            self._runner.headline_plan(nrh)
-        ))
-        return self._runner.headline_numbers(nrh)
+        """The abstract's headline ratios, folded over the spec's seeds."""
+
+        plan = self._runner.headline_plan(nrh)
+        self._consume(self._runner.submit_plan(plan))
+        return self._runner.fold(plan)
 
     def table(self, table_id: str) -> TableData:
         if table_id not in TABLES:
@@ -536,13 +546,6 @@ class Session:
         return getattr(self._runner, TABLES[table_id])()
 
     # ------------------------------------------------------------------ #
-    def _aggregate_fn(self, figure_id: str):
-        if figure_id not in FIGURES:
-            raise ValueError(
-                f"unknown figure {figure_id!r}; one of {sorted(FIGURES)}"
-            )
-        return getattr(self._runner, FIGURES[figure_id])
-
     @staticmethod
     def _consume(handles: Sequence[RunHandle]) -> None:
         for handle in iter_completed(handles):

@@ -11,10 +11,12 @@ matter how it is executed.
 
 Specs are validated up front (unknown mechanisms, malformed mixes, bad
 engines and non-positive scales fail at construction, not mid-sweep),
-fingerprint-stable (:meth:`fingerprint` digests every field), and
-serialisable: :func:`load_spec` reads the TOML/JSON files the
-``python -m repro.api run`` CLI consumes, and :meth:`ExperimentSpec.as_dict`
-round-trips through :meth:`ExperimentSpec.from_dict`.
+fingerprint-stable (:meth:`fingerprint` is the one cache-namespace
+digest: every field plus the system and simulation configuration the
+spec derives), and serialisable: :func:`load_spec` reads the TOML/JSON
+files the ``python -m repro.api run`` CLI consumes, and
+:meth:`ExperimentSpec.as_dict` round-trips through
+:meth:`ExperimentSpec.from_dict`.
 
 ``engine=None`` means "not pinned": the session resolves it through the
 one documented precedence chain (explicit spec field > ``REPRO_ENGINE`` >
@@ -25,12 +27,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.mitigations.registry import PAIRED_MECHANISMS
-from repro.sim.config import SIMULATION_ENGINES
+from repro.sim.config import (
+    SIMULATION_ENGINES,
+    SimulationConfig,
+    SystemConfig,
+    config_fingerprint,
+)
 from repro.workloads.mixes import (
     ATTACK_MIXES,
     ATTACKER_LETTERS,
@@ -58,7 +65,7 @@ class RunPoint:
     seed: int = 0
 
     def as_run_spec(self) -> Tuple[str, str, int, bool]:
-        """The legacy ``(mix, mechanism, nrh, breakhammer)`` tuple."""
+        """The ``(mix, mechanism, nrh, breakhammer)`` run of a sweep plan."""
 
         return (self.mix, self.mechanism, self.nrh, self.breakhammer)
 
@@ -67,9 +74,11 @@ class RunPoint:
 class ExperimentSpec:
     """A complete, validated description of one experiment sweep.
 
-    Field-for-field this mirrors the result-affecting half of the legacy
-    :class:`repro.analysis.experiments.HarnessConfig`; the execution half
-    (``jobs``, ``cache_dir``) intentionally does not exist here.
+    Every field affects results.  The execution knobs (workers, cache,
+    backend, spool, catalog directory) live on
+    :class:`repro.api.ExecutionPlan` instead; a resolved spec and a plan
+    are what :class:`repro.analysis.experiments.ExperimentRunner` is
+    built from.
     """
 
     sim_cycles: int = 25_000
@@ -198,7 +207,7 @@ class ExperimentSpec:
             )
 
     # ------------------------------------------------------------------ #
-    # Profiles (the spec-level equivalents of HarnessConfig's).
+    # Profiles
     # ------------------------------------------------------------------ #
     @classmethod
     def full(cls, **overrides) -> "ExperimentSpec":
@@ -277,9 +286,28 @@ class ExperimentSpec:
             return self
         return dataclasses.replace(self, engine=engine)
 
-    def fingerprint(self, workload_dir: Optional[str] = None) -> str:
-        """Digest of every result-affecting field (RunCache keys fall out).
+    def base_system(self) -> SystemConfig:
+        """The system every grid point of this spec varies from."""
 
+        return SystemConfig.fast_profile(
+            sim_cycles=self.sim_cycles,
+            threat_threshold=self.threat_threshold,
+            outlier_threshold=self.outlier_threshold,
+        )
+
+    def simulation_config(self) -> SimulationConfig:
+        """The per-run simulation bounds (unpinned engines run ``fast``)."""
+
+        return SimulationConfig(max_cycles=self.sim_cycles,
+                                engine=self.engine or "fast")
+
+    def fingerprint(self, workload_dir: Optional[str] = None) -> str:
+        """The cache-namespace digest of this spec: the one fingerprint.
+
+        Digests every field, the derived base :class:`SystemConfig` and
+        the :class:`SimulationConfig`, so a change to the simulator's
+        defaults moves the namespace too.  Sessions, cluster brokers and
+        workers, and the experiment service all key on this value.
         Unpinned engines digest as the default ``"fast"`` so that a spec
         resolved explicitly to the default and an unpinned spec share one
         cache namespace (they compute identical results).
@@ -293,14 +321,13 @@ class ExperimentSpec:
         (sessions pass their own).
         """
 
-        from repro.sim.config import config_fingerprint
-
         resolved = self if self.engine is not None else self.resolved("fast")
+        parts = [resolved, resolved.base_system(),
+                 resolved.simulation_config()]
         digests = self.catalog_digests(workload_dir)
         if digests:
-            return config_fingerprint(resolved,
-                                      ("workload-catalog", digests))
-        return config_fingerprint(resolved)
+            parts.append(("workload-catalog", digests))
+        return config_fingerprint(*parts)
 
     def catalog_digests(self, workload_dir: Optional[str] = None
                         ) -> Tuple[Tuple[str, str], ...]:

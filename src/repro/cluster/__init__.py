@@ -4,23 +4,23 @@ A broker/worker fabric over TCP or Unix sockets that scales the
 embarrassingly parallel figure grids past one machine's process pool:
 
 * :class:`ClusterBroker` owns a spec's work queue, hands connecting
-  workers the harness configuration, addresses every unit of work by
-  (spec fingerprint, run key), requeues the in-flight points of dead or
-  corrupt-stream workers (bounded — a poison point that keeps killing
-  workers fails its future with a diagnostic instead of looping forever),
-  and writes results through the shared persistent run cache so a resumed
-  broker skips completed points.  Scheduling is cost-aware: a
+  workers the resolved spec and a worker-side execution plan, addresses
+  every unit of work by (spec fingerprint, run key), requeues the
+  in-flight points of dead or corrupt-stream workers (bounded — a poison
+  point that keeps killing workers fails its future with a diagnostic
+  instead of looping forever), and writes results through the shared
+  persistent run cache so a resumed broker skips completed points.
+  Scheduling is cost-aware: a
   :class:`CostModel` (static features + an online EWMA persisted next to
   the run cache) orders dispatch longest-job-first and chunks cheap
   points several-per-claim;
 * :class:`ClusterExecutor` plugs that broker in as the third
   :class:`~repro.analysis.executor.SweepExecutor` backend — selected by
   ``Session(backend="cluster", broker=..., workers=N)`` or
-  ``REPRO_BACKEND=cluster`` — implementing both ``execute()`` and the
-  futures ``submit()`` path, so streamed figure aggregation works
-  unchanged on top of it.  ``workers=N`` is an elastic ceiling: one warm
-  worker spawns eagerly and an autoscaler grows the fleet against queue
-  backlog, reaping idle workers when the queue drains
+  ``REPRO_BACKEND=cluster`` — whose futures ``submit()`` lets figure
+  aggregation work unchanged on top of it.  ``workers=N`` is an elastic
+  ceiling: one warm worker spawns eagerly and an autoscaler grows the
+  fleet against queue backlog, reaping idle workers when the queue drains
   (``Session.cluster_stats()`` exposes the scheduling counters);
 * the CLI pair runs each side standalone::
 

@@ -1,9 +1,10 @@
 """The broker: owns a spec's work queue and a fleet of socket workers.
 
 A :class:`ClusterBroker` listens on a TCP or Unix endpoint, hands each
-connecting worker the spec's :class:`~repro.analysis.experiments.HarnessConfig`
-(plus the spec fingerprint all work is addressed by), and then feeds it
-grid points by *claims*.  Fault tolerance is structural:
+connecting worker the resolved :class:`~repro.api.ExperimentSpec` and the
+worker-side :class:`~repro.api.ExecutionPlan` (plus the spec fingerprint
+all work is addressed by), and then feeds it grid points by *claims*.
+Fault tolerance is structural:
 
 * **worker death / disconnect** — the points that worker had in flight
   are requeued (solo — never re-chunked) and handed to the next free
@@ -157,25 +158,26 @@ class _CostQueue:
 
 
 class ClusterBroker:
-    """Work queue + worker fleet for one harness configuration.
+    """Work queue + worker fleet for one experiment spec.
 
-    ``worker_config`` is the config every worker builds its runner from —
-    the caller pins ``jobs=1``/``backend="local"`` and disables the worker
-    disk cache (the broker owns persistence).  ``cache`` is the broker's
-    shared :class:`RunCache` (or ``None``); results are written through it
-    as they stream in, and the learned cost table persists beside them.
+    ``spec`` (engine resolved) and ``worker_execution`` are what every
+    worker builds its runner from — the caller pins ``jobs=1``/
+    ``backend="local"`` and disables the worker disk cache (the broker
+    owns persistence).  ``cache`` is the broker's shared :class:`RunCache`
+    (or ``None``); results are written through it as they stream in, and
+    the learned cost table persists beside them.
     """
 
-    def __init__(self, worker_config, address: Optional[Address] = None,
+    def __init__(self, spec, worker_execution,
+                 address: Optional[Address] = None,
                  cache: Optional[RunCache] = None,
                  scheduling: Optional[str] = None,
                  cheap_seconds: Optional[float] = None,
                  chunk_size: Optional[int] = None,
                  max_requeues: Optional[int] = None) -> None:
-        from repro.analysis.experiments import harness_fingerprint
-
-        self.worker_config = worker_config
-        self.fingerprint = harness_fingerprint(worker_config)
+        self.spec = spec
+        self.worker_execution = worker_execution
+        self.fingerprint = spec.fingerprint(worker_execution.workload_dir)
         self.cache = cache
         self.scheduling = (scheduling
                            or os.environ.get(SCHED_ENV, "").strip().lower()
@@ -193,7 +195,7 @@ class ClusterBroker:
         self.max_requeues = max(0, max_requeues if max_requeues is not None
                                 else _env_int(MAX_REQUEUES_ENV,
                                               DEFAULT_MAX_REQUEUES))
-        self.cost_model = CostModel.for_cache(worker_config, cache)
+        self.cost_model = CostModel.for_cache(spec, cache)
         self._queue = _CostQueue(fifo=self.scheduling == "fifo")
         self._entries: Dict[object, _Entry] = {}
         self._lock = threading.Lock()
@@ -420,18 +422,18 @@ class ClusterBroker:
                 f"fingerprint {self.fingerprint}"
             ))
             return False
-        protocol.send_message(sock, protocol.CONFIG,
-                              config=self.worker_config,
+        protocol.send_message(sock, protocol.CONFIG, spec=self.spec,
+                              execution=self.worker_execution,
                               fingerprint=self.fingerprint)
         kind, payload = protocol.recv_message(sock)
         if kind != protocol.READY:
             raise FrameError(f"expected ready, got {kind!r}")
         if payload.get("fingerprint") != self.fingerprint:
-            # The worker rebuilt the config into a different fingerprint —
+            # The worker rebuilt the spec into a different fingerprint —
             # an environment/version skew that would corrupt results.
             self._reject(sock, (
                 f"fingerprint skew: worker built {payload.get('fingerprint')}"
-                f" from a config fingerprinting {self.fingerprint} here"
+                f" from a spec fingerprinting {self.fingerprint} here"
             ))
             return False
         return True

@@ -81,15 +81,15 @@ def describe_task(task) -> str:
 class CostModel:
     """Predicted seconds per task: static cold-start + online EWMA.
 
-    ``config`` is the worker-side :class:`HarnessConfig` (trace lengths
-    and the engine live there); ``path`` is the optional JSON persistence
-    location.  Thread-safe: the broker observes from handler threads while
-    the scheduler predicts from others.
+    ``spec`` is the resolved :class:`repro.api.ExperimentSpec` (trace
+    lengths and the engine live there); ``path`` is the optional JSON
+    persistence location.  Thread-safe: the broker observes from handler
+    threads while the scheduler predicts from others.
     """
 
-    def __init__(self, config, path: Optional[Path] = None,
+    def __init__(self, spec, path: Optional[Path] = None,
                  alpha: float = 0.3) -> None:
-        self.config = config
+        self.spec = spec
         self.path = Path(path) if path is not None else None
         self.alpha = alpha
         self.observations = 0
@@ -99,12 +99,12 @@ class CostModel:
             self.load()
 
     @classmethod
-    def for_cache(cls, config, cache) -> "CostModel":
+    def for_cache(cls, spec, cache) -> "CostModel":
         """A model persisting next to ``cache``'s entries (or in-memory)."""
 
         path = (Path(cache.directory) / "costs.json"
                 if cache is not None else None)
-        return cls(config, path=path)
+        return cls(spec, path=path)
 
     def __len__(self) -> int:
         with self._lock:
@@ -115,8 +115,8 @@ class CostModel:
     # ------------------------------------------------------------------ #
     def _key(self, task) -> str:
         if task.kind == TASK_ALONE:
-            return f"alone|{self.config.engine}|{task.mix_name}|none"
-        return (f"run|{self.config.engine}|{task.mix_name}|"
+            return f"alone|{self.spec.engine}|{task.mix_name}|none"
+        return (f"run|{self.spec.engine}|{task.mix_name}|"
                 f"{mechanism_class(task.mechanism)}")
 
     def predict(self, task) -> float:
@@ -129,23 +129,23 @@ class CostModel:
         return self._static_seconds(task)
 
     def _static_seconds(self, task) -> float:
-        cfg = self.config
-        weight = _ENGINE_WEIGHT.get(cfg.engine, 1.0)
+        spec = self.spec
+        weight = _ENGINE_WEIGHT.get(spec.engine, 1.0)
         if task.kind == TASK_ALONE:
             # One trace on one core; attacker traces are the longest.
-            entries = max(cfg.entries_per_core, cfg.attacker_entries)
+            entries = max(spec.entries_per_core, spec.attacker_entries)
             return max(1e-4, entries * weight * _SECONDS_PER_ENTRY
                        * _CLASS_WEIGHT["none"])
         cores = max(1, len(task.mix_name))
-        entries = cfg.entries_per_core * cores
+        entries = spec.entries_per_core * cores
         if any(ch in task.mix_name for ch in "AD"):
-            entries += cfg.attacker_entries
+            entries += spec.attacker_entries
         klass = _CLASS_WEIGHT[mechanism_class(task.mechanism)]
         # Lower thresholds trigger more mitigation work; a gentle sublinear
         # pressure term keeps nrh=64 above nrh=4096 without dwarfing the
         # engine/size features.
-        nrh = max(1, int(task.nrh) or cfg.nrh_default)
-        pressure = 1.0 + 0.25 * min(4.0, (cfg.nrh_default / nrh) ** 0.5)
+        nrh = max(1, int(task.nrh) or spec.nrh_default)
+        pressure = 1.0 + 0.25 * min(4.0, (spec.nrh_default / nrh) ** 0.5)
         return max(1e-4,
                    entries * weight * _SECONDS_PER_ENTRY * klass * pressure)
 
@@ -202,7 +202,7 @@ class CostModel:
             return
         with self._lock:
             payload = {"version": _TABLE_VERSION,
-                       "engine": self.config.engine,
+                       "engine": self.spec.engine,
                        "seconds": dict(self._table)}
         tmp = self.path.with_suffix(".json.tmp")
         try:

@@ -21,7 +21,8 @@ network), exactly like the pickles the process-pool executor already ships.
 Message kinds::
 
     worker -> broker   hello    {version, fingerprint | None}
-    broker -> worker   config   {config: HarnessConfig, fingerprint, }
+    broker -> worker   config   {spec: ExperimentSpec,
+                                 execution: ExecutionPlan, fingerprint}
     worker -> broker   ready    {fingerprint}
     broker -> worker   reject   {reason}
     broker -> worker   work     {tasks: [RunTask, ...], fingerprint}
@@ -52,7 +53,9 @@ from typing import Optional, Tuple
 #: v2: ``work`` carries a task list (chunked claims) and ``result`` is
 #: stamped with the worker's observed ``elapsed`` seconds.
 #: v3: ``RunTask`` lost its ``group`` field (lockstep batch tasks are gone).
-PROTOCOL_VERSION = 3
+#: v4: ``config`` carries the resolved spec and the worker-side execution
+#: plan as two fields.
+PROTOCOL_VERSION = 4
 
 #: Frame header: magic, CRC32 of the body, body length.
 _FRAME_MAGIC = b"RCLU"

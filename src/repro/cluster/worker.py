@@ -1,8 +1,9 @@
 """Worker side of the cluster fabric: claim points, simulate, stream back.
 
-A worker connects to a broker, receives the spec's
-:class:`~repro.analysis.experiments.HarnessConfig`, builds its own
-:class:`~repro.analysis.experiments.ExperimentRunner` from it (regenerating
+A worker connects to a broker, receives the resolved
+:class:`~repro.api.ExperimentSpec` and a worker-side
+:class:`~repro.api.ExecutionPlan`, builds its own
+:class:`~repro.analysis.experiments.ExperimentRunner` from them (regenerating
 traces deterministically, or loading them from the broker's mmap'd columnar
 spool when one is reachable — see :mod:`repro.workloads.spool`), and then
 loops: receive a ``work`` claim (one expensive
@@ -168,7 +169,7 @@ def worker_loop(address: Address,
         if kind != protocol.CONFIG:
             print(f"worker expected config, got {kind!r}", file=sys.stderr)
             return 3
-        runner = ExperimentRunner(payload["config"], _api_owned=True)
+        runner = ExperimentRunner(payload["spec"], payload["execution"])
         protocol.send_message(sock, protocol.READY,
                               fingerprint=runner.fingerprint)
         served = 0

@@ -196,10 +196,6 @@ class ExperimentService:
         self.quotas = QuotaManager(policy, clock=clock)
         self.jobs = JobRegistry()
         self._sessions: Dict[str, _SessionEntry] = {}
-        # Maps the *spec-level* fingerprint (cheap, no session needed) to
-        # the session fingerprint, so duplicate registrations never build
-        # a second executor/broker just to discover they are duplicates.
-        self._by_spec: Dict[str, str] = {}
         self._sessions_lock = threading.Lock()
         self._started = time.time()
         self._closed = False
@@ -229,13 +225,15 @@ class ExperimentService:
 
         plan = self._plan
         engine = self._engine or spec.engine or plan.engine
-        spec_key = spec.resolved(engine).fingerprint()
+        # The spec fingerprint *is* the session fingerprint, so duplicate
+        # registrations never build a second executor/broker just to
+        # discover they are duplicates.
+        fingerprint = spec.resolved(engine).fingerprint()
         with self._sessions_lock:
             if self._closed:
                 raise ApiError(503, "service is shutting down")
-            known = self._by_spec.get(spec_key)
-            if known is not None:
-                return known, False
+            if fingerprint in self._sessions:
+                return fingerprint, False
             if len(self._sessions) >= self.max_sessions:
                 raise ApiError(
                     409,
@@ -260,7 +258,7 @@ class ExperimentService:
                 # table when a persistent cache exists (load only — the
                 # broker owns writes), so a service over a warm cache
                 # starts with calibrated charges.
-                costs=CostModel(session.runner.config,
+                costs=CostModel(session.spec,
                                 path=(session.cache.directory / "costs.json"
                                       if session.cache is not None else None)),
                 lock=threading.Lock(),
@@ -268,7 +266,6 @@ class ExperimentService:
                 registered=time.time(),
             )
             self._sessions[session.fingerprint] = entry
-            self._by_spec[spec_key] = session.fingerprint
             return session.fingerprint, True
 
     def _entry(self, fingerprint: str) -> _SessionEntry:
@@ -388,7 +385,7 @@ class ExperimentService:
 
         Returns ``(figure dict, total points, points actually executed)``.
         Must be called with ``entry.lock`` held — sessions (and the
-        legacy runner beneath them) are not safe for concurrent sweeps.
+        runner beneath them) are not safe for concurrent sweeps.
         """
 
         session = entry.session
@@ -402,7 +399,7 @@ class ExperimentService:
             handle.result()
             if job is not None:
                 job.bump()
-        figure = getattr(runner, FIGURES[figure_id])()
+        figure = runner.fold(plan)
         executed = session.runs_executed - before
         return figure.as_dict(), len(handles), executed
 
@@ -501,7 +498,6 @@ class ExperimentService:
             self._closed = True
             entries = list(self._sessions.values())
             self._sessions.clear()
-            self._by_spec.clear()
         for entry in entries:
             # Let an in-flight sweep finish before tearing its pool down.
             with entry.lock:

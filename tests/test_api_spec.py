@@ -12,9 +12,10 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.experiments import HarnessConfig
+from repro.analysis.experiments import ExperimentRunner
 from repro.analysis.runcache import CACHE_DIR_ENV
 from repro.api import (
+    ExecutionPlan,
     ExperimentSpec,
     RunPoint,
     Session,
@@ -82,25 +83,50 @@ class TestFingerprint:
             assert serial.fingerprint == parallel.fingerprint
 
 
+    def test_one_fingerprint_per_spec_file(self, tmp_path):
+        """Session, spec, service and ``--spec`` worker agree on one key."""
+
+        from repro.cluster.cli import _worker_fingerprint
+        from repro.service import ExperimentService
+
+        path = tmp_path / "sweep.toml"
+        path.write_text('profile = "tiny"\n[spec]\n'
+                        'mechanisms = ["para", "rfm"]\n', encoding="utf-8")
+        spec = load_spec(path).spec
+        engine = resolve_execution(spec).engine
+        with Session(spec, jobs=1, cache_dir="") as session:
+            session_key = session.fingerprint
+            assert session.runner.fingerprint == session_key
+        service = ExperimentService(jobs=1, cache_dir="")
+        try:
+            service_key, created = service.register_spec(spec)
+            assert created
+        finally:
+            service.close()
+        assert session_key == spec.resolved(engine).fingerprint() \
+            == service_key == _worker_fingerprint(str(path))
+
+    def test_simulator_defaults_move_the_fingerprint(self, monkeypatch):
+        """The derived simulation configuration is part of the digest."""
+
+        import functools
+
+        from repro.sim.config import SimulationConfig
+
+        before = TINY.fingerprint()
+        monkeypatch.setattr("repro.api.spec.SimulationConfig",
+                            functools.partial(SimulationConfig,
+                                              warmup_cycles=1))
+        assert TINY.fingerprint() != before
+
+
 class TestHarnessBridge:
-    def test_round_trip_through_harness_config(self):
-        spec = ExperimentSpec.fast(engine="cycle")
-        config = HarnessConfig.from_spec(spec, jobs=3, cache_dir="/tmp/x")
-        assert config.jobs == 3 and config.cache_dir == "/tmp/x"
-        assert config.to_spec() == spec
+    """A runner is built from a resolved spec and an execution plan."""
 
     def test_unresolved_engine_rejected(self):
-        with pytest.raises(ValueError):
-            HarnessConfig.from_spec(ExperimentSpec.tiny())
-
-    def test_legacy_profiles_match_spec_profiles(self):
-        # HarnessConfig always pins an engine; spec profiles leave it
-        # unpinned, so compare the resolved (default-engine) forms.
-        assert HarnessConfig().to_spec() == ExperimentSpec.full().resolved("fast")
-        assert HarnessConfig.fast().to_spec() == \
-            ExperimentSpec.fast().resolved("fast")
-        assert HarnessConfig.smoke().to_spec() == \
-            ExperimentSpec.smoke().resolved("fast")
+        plan = ExecutionPlan(engine="fast", jobs=1, cache_dir=None)
+        with pytest.raises(ValueError, match="unresolved"):
+            ExperimentRunner(ExperimentSpec.tiny(), plan)
 
 
 class TestSerialisation:

@@ -28,7 +28,6 @@ import warnings
 
 import pytest
 
-from repro.analysis.experiments import ExperimentRunner, HarnessConfig
 from repro.api import ExperimentSpec, Session
 from repro.cluster import (
     cluster_broker,
@@ -344,16 +343,10 @@ def test_serial_vs_cluster_differential_clean():
 
 
 # ---------------------------------------------------------------------- #
-# Deprecation clock of the legacy facade
+# The sweep stack emits no deprecation warnings (no tier-1 filter hides
+# any: pytest.ini filters none)
 # ---------------------------------------------------------------------- #
 class TestLegacyFacadeDeprecation:
-    CONFIG = dict(sim_cycles=1_500, entries_per_core=600,
-                  attacker_entries=800, jobs=1, cache_dir="")
-
-    def test_direct_runner_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.Session"):
-            ExperimentRunner(HarnessConfig(**self.CONFIG))
-
     def test_session_owned_runner_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

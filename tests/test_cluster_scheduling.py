@@ -35,8 +35,7 @@ from repro.analysis.executor import (
     RunTask,
     _LazyFuture,
 )
-from repro.analysis.experiments import HarnessConfig
-from repro.api import ExperimentSpec, Session
+from repro.api import ExecutionPlan, ExperimentSpec, Session
 from repro.cluster import ClusterTaskError, CostModel, cluster_broker
 from repro.cluster.broker import ClusterBroker, _CostQueue
 from repro.cluster.worker import POISON_NRH_ENV, STDERR_FLOOD_ENV
@@ -45,12 +44,13 @@ SPEC = ExperimentSpec.tiny()
 
 TIMEOUT = 120.0
 
-TINY_CONFIG = dict(sim_cycles=1_500, entries_per_core=600,
-                   attacker_entries=800, jobs=1, cache_dir="")
+#: The worker-side plan a broker hands out (serial, local, no cache).
+WORKER_PLAN = ExecutionPlan(engine="fast", jobs=1, cache_dir=None)
 
 
-def tiny_config(**overrides) -> HarnessConfig:
-    return HarnessConfig(**{**TINY_CONFIG, **overrides})
+def tiny_spec(engine: str = "fast") -> ExperimentSpec:
+    return ExperimentSpec(sim_cycles=1_500, entries_per_core=600,
+                          attacker_entries=800, engine=engine)
 
 
 def run_task(nrh: int = 64, mechanism: str = "para",
@@ -64,8 +64,8 @@ def run_task(nrh: int = 64, mechanism: str = "para",
 # ---------------------------------------------------------------------- #
 class TestCostModel:
     def test_cold_start_orders_engines_and_kinds(self):
-        fast = CostModel(tiny_config(engine="fast"))
-        cycle = CostModel(tiny_config(engine="cycle"))
+        fast = CostModel(tiny_spec(engine="fast"))
+        cycle = CostModel(tiny_spec(engine="cycle"))
         grid = run_task()
         alone = RunTask(kind=TASK_ALONE, mix_name="MMLA", trace_index=0)
         # The cycle engine steps every DRAM cycle; a four-core grid run
@@ -75,12 +75,12 @@ class TestCostModel:
         assert cycle.predict(alone) > fast.predict(alone)
 
     def test_cold_start_nrh_pressure(self):
-        model = CostModel(tiny_config())
+        model = CostModel(tiny_spec())
         assert model.predict(run_task(nrh=64)) \
             > model.predict(run_task(nrh=4096))
 
     def test_ewma_update(self):
-        model = CostModel(tiny_config(), alpha=0.5)
+        model = CostModel(tiny_spec(), alpha=0.5)
         task = run_task()
         model.observe(task, 1.0)
         assert model.predict(task) == pytest.approx(1.0)
@@ -96,33 +96,33 @@ class TestCostModel:
     def test_mechanism_class_shares_one_key(self):
         # The EWMA key groups by mechanism *class*: an observation of one
         # tracked mechanism warms the prediction of another.
-        model = CostModel(tiny_config())
+        model = CostModel(tiny_spec())
         model.observe(run_task(mechanism="para"), 3.0)
         assert model.predict(run_task(mechanism="graphene")) \
             == pytest.approx(3.0)
         # But not across classes: blockhammer (gating) stays static.
-        static = CostModel(tiny_config()).predict(
+        static = CostModel(tiny_spec()).predict(
             run_task(mechanism="blockhammer"))
         assert model.predict(run_task(mechanism="blockhammer")) \
             == pytest.approx(static)
 
     def test_persistence_round_trip(self, tmp_path):
         path = tmp_path / "costs.json"
-        model = CostModel(tiny_config(), path=path)
+        model = CostModel(tiny_spec(), path=path)
         task = run_task()
         model.observe(task, 2.5)
         model.save()
         assert path.exists()
-        warm = CostModel(tiny_config(), path=path)
+        warm = CostModel(tiny_spec(), path=path)
         assert warm.predict(task) == pytest.approx(2.5)
         assert len(warm) == 1
 
     def test_corrupt_or_foreign_table_falls_back_to_static(self, tmp_path):
         path = tmp_path / "costs.json"
-        static = CostModel(tiny_config()).predict(run_task())
+        static = CostModel(tiny_spec()).predict(run_task())
         for garbage in ("not json at all", '{"version": 99}', '[1,2,3]'):
             path.write_text(garbage, encoding="utf-8")
-            model = CostModel(tiny_config(), path=path)
+            model = CostModel(tiny_spec(), path=path)
             assert model.predict(run_task()) == pytest.approx(static)
             assert len(model) == 0
 
@@ -172,7 +172,7 @@ class TestCostQueue:
 # ---------------------------------------------------------------------- #
 class TestRequeueBound:
     def test_bound_fails_future_with_killers_named(self):
-        broker = ClusterBroker(tiny_config(backend="local"))
+        broker = ClusterBroker(tiny_spec(), WORKER_PLAN)
         try:
             future = broker.submit(run_task())
             for worker in ("worker-1", "worker-2", "worker-3"):
@@ -197,7 +197,7 @@ class TestRequeueBound:
         # mutated entry.requeues outside the lock).
         import threading
 
-        broker = ClusterBroker(tiny_config(backend="local"),
+        broker = ClusterBroker(tiny_spec(), WORKER_PLAN,
                                max_requeues=10_000)
         try:
             broker.submit(run_task())

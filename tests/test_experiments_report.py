@@ -13,10 +13,11 @@ from repro.api import ExperimentSpec, Session
 
 
 @pytest.fixture(scope="module")
-def runner():
-    """A shared smoke-scale runner (module-scoped: runs are memoised)."""
+def session():
+    """A shared smoke-scale session (module-scoped: runs are memoised)."""
 
-    return Session(ExperimentSpec.smoke(), jobs=1, cache_dir="").runner
+    with Session(ExperimentSpec.smoke(), jobs=1, cache_dir="") as session:
+        yield session
 
 
 class TestFigureData:
@@ -82,98 +83,101 @@ class TestReportRendering:
 class TestAnalyticalExperiments:
     """Experiments that need no simulation (cheap, exact)."""
 
-    def test_figure5_matches_paper_observations(self, runner):
-        figure = runner.figure5()
+    def test_figure5_matches_paper_observations(self, session):
+        figure = session.figure("fig5")
         assert len(figure.series) == 10
         series_065 = figure.get("TH_outlier=0.65")
         # At 50% attacker threads the bound is ≈ 4.71.
         idx_50 = figure.x_values.index(50)
         assert series_065.values[idx_50] == pytest.approx(4.71, abs=0.05)
 
-    def test_table1_lists_components(self, runner):
-        table = runner.table1()
+    def test_table1_lists_components(self, session):
+        table = session.table("table1")
         components = table.column("component")
         assert {"processor", "llc", "dram", "mitigation"} <= set(components)
 
-    def test_table2_has_paper_and_scaled_values(self, runner):
-        table = runner.table2()
+    def test_table2_has_paper_and_scaled_values(self, session):
+        table = session.table("table2")
         params = {row["parameter"]: row for row in table.rows}
         assert params["TH_threat"]["paper_value"] == 32.0
         assert params["TH_outlier"]["paper_value"] == 0.65
         assert params["P_newsuspect"]["paper_value"] == 10
 
-    def test_table3_and_paper_reference(self, runner):
-        table = runner.table3()
+    def test_table3_and_paper_reference(self, session):
+        table = session.table("table3")
         assert table.rows[-1]["Workload"] == "Average"
         assert all(row["RBMPKI"] >= 0 for row in table.rows)
-        paper = runner.paper_table3()
+        paper = session.table("table3_paper")
         assert len(paper) == 8
 
-    def test_hardware_complexity_table(self, runner):
-        table = runner.hardware_complexity()
+    def test_hardware_complexity_table(self, session):
+        table = session.table("hw")
         values = {row["quantity"]: row["value"] for row in table.rows}
         assert values["fits_under_trrd"] is True
         assert values["bits_per_thread"] == 82
 
 
 class TestSimulationExperiments:
-    """Smoke-scale simulated experiments (shared, memoised runner)."""
+    """Smoke-scale simulated experiments (shared, memoised session)."""
 
-    def test_run_caching(self, runner):
-        before = runner.runs_executed
-        runner.run("MMLA", "para", 64, False)
-        mid = runner.runs_executed
-        runner.run("MMLA", "para", 64, False)
-        assert runner.runs_executed == mid == before + 1
+    def test_run_caching(self, session):
+        before = session.runs_executed
+        session.run("MMLA", "para", 64, False)
+        mid = session.runs_executed
+        session.run("MMLA", "para", 64, False)
+        assert session.runs_executed == mid == before + 1
 
-    def test_figure2_structure_and_trend(self, runner):
-        figure = runner.figure2(mechanisms=["rfm"], mixes=["MMLL"])
-        assert figure.x_values == list(runner.config.nrh_sweep)
+    def test_figure2_structure_and_trend(self, session):
+        figure = session.figure("fig2", mechanisms=["rfm"], mixes=["MMLL"])
+        assert figure.x_values == list(session.spec.nrh_sweep)
         series = figure.get("rfm")
         # Overhead grows (normalised WS falls) as N_RH decreases.
         assert series.values[-1] <= series.values[0] + 0.05
 
-    def test_figure6_and_7_report_geomean(self, runner):
-        fig6 = runner.figure6(nrh=64, mixes=["MMLA"], mechanisms=["rfm"])
+    def test_figure6_and_7_report_geomean(self, session):
+        fig6 = session.figure("fig6", nrh=64, mixes=["MMLA"],
+                              mechanisms=["rfm"])
         assert fig6.x_values[-1] == "geomean"
         assert fig6.get("rfm+BH").values[-1] > 0
-        fig7 = runner.figure7(nrh=64, mixes=["MMLA"], mechanisms=["rfm"])
+        fig7 = session.figure("fig7", nrh=64, mixes=["MMLA"],
+                              mechanisms=["rfm"])
         assert len(fig7.get("rfm+BH").values) == 2
 
-    def test_figure8_contains_baseline_and_bh_series(self, runner):
-        figure = runner.figure8(mechanisms=["rfm"], mixes=["MMLA"])
+    def test_figure8_contains_baseline_and_bh_series(self, session):
+        figure = session.figure("fig8", mechanisms=["rfm"], mixes=["MMLA"])
         assert "rfm" in figure.series and "rfm+BH" in figure.series
 
-    def test_figure10_normalised_to_largest_nrh(self, runner):
-        figure = runner.figure10(mechanisms=["rfm"], mixes=["MMLA"])
+    def test_figure10_normalised_to_largest_nrh(self, session):
+        figure = session.figure("fig10", mechanisms=["rfm"], mixes=["MMLA"])
         series = figure.get("rfm")
         assert series.values[0] == pytest.approx(1.0, abs=1e-6) or \
             series.values[0] == 0.0
         # Preventive actions grow as N_RH shrinks.
         assert series.values[-1] >= series.values[0]
 
-    def test_figure11_latency_curves_monotone(self, runner):
-        figure = runner.figure11(nrh=64, mechanisms=["rfm"], mixes=["MMLA"],
-                                 points=(50, 90, 100))
+    def test_figure11_latency_curves_monotone(self, session):
+        figure = session.figure("fig11", nrh=64, mechanisms=["rfm"],
+                                mixes=["MMLA"], points=(50, 90, 100))
         for series in figure.series.values():
             assert series.values == sorted(series.values)
 
-    def test_figure12_energy_normalised(self, runner):
-        figure = runner.figure12(mechanisms=["rfm"], mixes=["MMLA"])
+    def test_figure12_energy_normalised(self, session):
+        figure = session.figure("fig12", mechanisms=["rfm"], mixes=["MMLA"])
         assert all(v > 0 for v in figure.get("rfm").values)
 
-    def test_figure13_benign_ratio_near_one(self, runner):
-        figure = runner.figure13(nrh=1024, mixes=["MMLL"], mechanisms=["rfm"])
+    def test_figure13_benign_ratio_near_one(self, session):
+        figure = session.figure("fig13", nrh=1024, mixes=["MMLL"],
+                                mechanisms=["rfm"])
         geomean = figure.get("rfm+BH").values[-1]
         assert 0.8 <= geomean <= 1.2
 
-    def test_figure18_includes_blockhammer(self, runner):
-        figure = runner.figure18(mechanisms=["rfm"], mixes=["MMLA"])
+    def test_figure18_includes_blockhammer(self, session):
+        figure = session.figure("fig18", mechanisms=["rfm"], mixes=["MMLA"])
         assert "blockhammer" in figure.series
         assert "rfm+BH" in figure.series
 
-    def test_headline_numbers_structure(self, runner):
-        numbers = runner.headline_numbers(nrh=64)
+    def test_headline_numbers_structure(self, session):
+        numbers = session.headline_numbers(nrh=64)
         assert set(numbers) == {"mean_benign_speedup", "mean_energy_ratio",
                                 "mean_preventive_action_ratio"}
         assert numbers["mean_benign_speedup"] > 0

@@ -22,7 +22,7 @@ from repro.analysis.executor import (
 )
 from repro.analysis.experiments import ExperimentRunner
 from repro.analysis.runcache import RunCache
-from repro.api import ExperimentSpec, Session
+from repro.api import ExperimentSpec, RunPoint, Session, iter_completed
 from repro.sim.stats import RunStatistics
 
 
@@ -43,18 +43,24 @@ def tiny_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**base)
 
 
-def tiny_runner(jobs: int = 1, cache_dir="", engine=None,
-                **spec_overrides) -> ExperimentRunner:
-    """A runner built through the supported Session/ExperimentSpec path.
+def tiny_session(jobs: int = 1, cache_dir="", engine=None,
+                 **spec_overrides) -> Session:
+    """A session over :func:`tiny_spec`.
 
     Defaults keep it hermetic against exported env knobs: ``jobs=1``
     stays serial even under ``REPRO_JOBS``, and ``cache_dir=""``
     force-disables the disk cache even under ``REPRO_CACHE_DIR``.
     """
 
-    session = Session(tiny_spec(**spec_overrides), jobs=jobs,
-                      cache_dir=cache_dir, engine=engine)
-    return session.runner
+    return Session(tiny_spec(**spec_overrides), jobs=jobs,
+                   cache_dir=cache_dir, engine=engine)
+
+
+def tiny_runner(jobs: int = 1, cache_dir="", engine=None,
+                **spec_overrides) -> ExperimentRunner:
+    """The runner of a :func:`tiny_session` (its caches and executor)."""
+
+    return tiny_session(jobs, cache_dir, engine, **spec_overrides).runner
 
 
 GRID = [
@@ -93,11 +99,15 @@ class TestParallelDeterminism:
         for mix, mechanism, nrh, bh in GRID:
             serial.run(mix, mechanism, nrh, bh)
 
-        with tiny_runner(jobs=4) as parallel:
+        with tiny_session(jobs=4) as session:
+            parallel = session.runner
             assert parallel.jobs == 4
             assert isinstance(parallel._executor, ProcessPoolSweepExecutor)
-            executed = parallel.prefetch(GRID, alone_mixes=("MMLA",))
-            assert executed > 0
+            handles = session.submit_grid(RunPoint(*run) for run in GRID)
+            handles += session.submit_alone("MMLA")
+            for handle in iter_completed(handles):
+                handle.result()
+            assert parallel.runs_executed == len(GRID)
             for mix, mechanism, nrh, bh in GRID:
                 key = serial.run_key(mix, mechanism, nrh, bh)
                 assert key == parallel.run_key(mix, mechanism, nrh, bh)
@@ -109,17 +119,18 @@ class TestParallelDeterminism:
                 assert serial.alone_ipc(trace) == parallel.alone_ipc(trace)
 
     def test_parallel_figure_equals_serial_figure(self):
-        serial = tiny_runner()
-        with tiny_runner(jobs=2) as parallel:
-            fig_serial = serial.figure6(nrh=64)
-            fig_parallel = parallel.figure6(nrh=64)
+        with tiny_session() as serial, tiny_session(jobs=2) as parallel:
+            fig_serial = serial.figure("fig6", nrh=64)
+            fig_parallel = parallel.figure("fig6", nrh=64)
             assert fig_serial.as_dict() == fig_parallel.as_dict()
 
-    def test_prefetch_skips_memoised_points(self):
+    def test_submit_skips_memoised_points(self):
         runner = tiny_runner()
         runner.run("MMLA", "para", 64, False)
         executed_before = runner.runs_executed
-        runner.prefetch([("MMLA", "para", 64, False)])
+        handle = runner.submit_runs([("MMLA", "para", 64, False)])[0]
+        assert handle.cached
+        handle.result()
         assert runner.runs_executed == executed_before
 
 
@@ -137,15 +148,15 @@ class TestDiskCache:
         assert dataclasses.asdict(reloaded) == dataclasses.asdict(stats)
 
     def test_alone_baselines_persisted_too(self, tmp_path):
-        first = tiny_runner(cache_dir=str(tmp_path))
-        figure = first.figure6(nrh=64)
+        first = tiny_session(cache_dir=str(tmp_path))
+        figure = first.figure("fig6", nrh=64)
         # Grid points *and* the per-trace standalone-IPC baselines landed
         # on disk, so a fresh invocation simulates nothing at all.
-        assert len(first.disk_cache) > first.runs_executed
-        second = tiny_runner(cache_dir=str(tmp_path))
-        again = second.figure6(nrh=64)
+        assert len(first.cache) > first.runs_executed
+        second = tiny_session(cache_dir=str(tmp_path))
+        again = second.figure("fig6", nrh=64)
         assert second.runs_executed == 0
-        assert second.disk_cache.misses == 0
+        assert second.cache.misses == 0
         assert again.as_dict() == figure.as_dict()
 
     def test_payload_round_trip_bit_exact(self):
@@ -245,7 +256,7 @@ class TestSerialExecutorPath:
 
     def test_unknown_task_kind_rejected(self):
         runner = tiny_runner()
+        future = runner._executor.submit(
+            RunTask(kind="teleport", mix_name="MMLL"))
         with pytest.raises(ValueError):
-            runner._executor.execute(
-                [RunTask(kind="teleport", mix_name="MMLL")]
-            )
+            future.result()
